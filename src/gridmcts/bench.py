@@ -264,6 +264,16 @@ def _summarize(records) -> str:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_sweep(spec: str):
     try:
         a, b, step = (int(x) for x in spec.split(":"))
@@ -285,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="board side length")
     p.add_argument("--agents", type=int, required=True, metavar="K",
                    help="number of agents (= goals)")
-    p.add_argument("--instances", type=int, default=20,
+    p.add_argument("--instances", type=_positive_int, default=20,
                    help="generated instances per size (default 20)")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; instances and episodes derive from it")
-    p.add_argument("--iterations", type=int, default=2000,
+    p.add_argument("--iterations", type=_positive_int, default=2000,
                    help="search iterations per plan call (default 2000)")
     p.add_argument("--t-final", type=int, default=None,
                    help="episode horizon (default 3*N)")
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node value update rule (default mean)")
     p.add_argument("--exploration-c", type=float, default=DEFAULT_EXPLORATION_C,
                    help="UCT exploration constant (default sqrt(2))")
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--repeats", type=_positive_int, default=1,
                    help="episodes per instance (default 1)")
     p.add_argument("--sweep-t-final", type=_parse_sweep, default=None,
                    metavar="A:B:STEP",
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-check", action="store_true",
                    help="also solve each instance exactly where tractable "
                         f"(up to {_MAX_N}x{_MAX_N}, {_MAX_AGENTS} agents)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes (default 1)")
     return p
 

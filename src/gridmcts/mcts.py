@@ -8,20 +8,24 @@ searcher models everyone but only the root move of the planning agent is
 ever executed; the coordinator merges the independently chosen moves.
 
 Node deltas, not full states: every node stores only (agent, move) and
-the engine realizes states by applying deltas to one mutable scratch
-board with an undo log. Rollouts mutate the same scratch in place and
-roll back afterwards, so no N x N grid is ever copied during search.
+the engine realizes a node's state by applying the deltas on its path to
+one mutable scratch board. The playout then mutates the same board in
+place, and a snapshot of the root board taken once per plan_move call is
+restored by slice assignment after every sample, so no N x N grid is
+ever rebuilt during search and nothing is undone step by step.
 
 Leaf evaluation splits its inputs: the playout's final state supplies
 the outcome (captured count, planner's own-capture mark) while the
 remaining-time bonus is anchored to the evaluated node's own turn, so
 shallow nodes outscore deep ones at equal playout outcomes. The optional
 goal-distance term (``ValueParams.distance_weight``) is anchored the
-same way: it reads the evaluated node's own live agents and free goals,
-with goal-walled distances from one breadth-first sweep per free goal
-per plan_move call. Uniform playouts rarely reach a goal whose only
-approach is nearly as long as the turns left, so without this term the
-root children of a stranded last agent all score alike.
+same way: it reads the evaluated node's own live agents and free goals.
+Its goal-walled distance tables depend only on the board size and the
+goal set, so they are built once per goal set, one breadth-first sweep
+per goal, and shared by every plan_move call of an episode. Uniform
+playouts rarely reach a goal whose only approach is nearly as long as
+the turns left, so without this term the root children of a stranded
+last agent all score alike.
 
 Randomness convention (shared with the reference simulator in the test
 suite, bit-for-bit): for each live acting agent, let ``nb`` be its
@@ -40,70 +44,74 @@ from functools import lru_cache
 from random import Random
 
 from .grid import (
+    CARDINAL_MOVES,
     Move,
-    Position,
     WorldState,
     apply_move,
     goal_walled_distances,
     is_terminal,
 )
-from .values import NodeStats, UpdateRule, ValueParams, distance_cap, update_value
+from .values import NodeStats, UpdateRule, ValueParams, distance_cap
 
 DEFAULT_EXPLORATION_C = math.sqrt(2)
-
-_STAY = int(Move.STAY)
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int):
-    """Per-cell cardinal destinations and their Move values, flat-indexed.
+    """Per-cell moves and destinations, flat-indexed; cached per grid size.
 
-    dests[cell] lists in-bounds neighbor cells in canonical move order;
-    moves[cell] holds the matching Move ints. Cached per grid size.
+    moves[cell] lists the in-bounds cardinal Moves in canonical order,
+    then Stay. steps[cell] is (cells, m + 1): the matching destination
+    cells, `cell` itself last for Stay, and m + 1 for the playout draw.
+    A destination equals `cell` exactly when the move is Stay.
     """
-    dests = []
     moves = []
+    steps = []
     for cell in range(n * n):
         r, c = divmod(cell, n)
-        dd = []
         mm = []
-        if r > 0:
-            dd.append(cell - n)
-            mm.append(int(Move.UP))
-        if r < n - 1:
-            dd.append(cell + n)
-            mm.append(int(Move.DOWN))
-        if c > 0:
-            dd.append(cell - 1)
-            mm.append(int(Move.LEFT))
-        if c < n - 1:
-            dd.append(cell + 1)
-            mm.append(int(Move.RIGHT))
-        dests.append(tuple(dd))
-        moves.append(tuple(mm))
-    return tuple(dests), tuple(moves)
+        dd = []
+        for mv, ok, q in zip(
+            CARDINAL_MOVES,
+            (r > 0, r < n - 1, c > 0, c < n - 1),
+            (cell - n, cell + n, cell - 1, cell + 1),
+        ):
+            if ok:
+                mm.append(mv)
+                dd.append(q)
+        moves.append(tuple(mm) + (Move.STAY,))
+        steps.append((tuple(dd) + (cell,), len(dd) + 1))
+    return tuple(moves), tuple(steps)
+
+
+@lru_cache(maxsize=1)
+def _goal_tables(n: int, goals: frozenset):
+    """near[cell]: (distance, goal cell) for every goal an agent on `cell`
+    can capture, nearest first, distances clipped at distance_cap(n).
+
+    Captured goals are listed too and skipped at lookup time, so one
+    table serves every node of every tree over this goal set. One entry
+    is kept: the goal set changes only between episodes.
+    """
+    cap = distance_cap(n)
+    near = [[] for _ in range(n * n)]
+    for g in goals:
+        gcell = g.row * n + g.col
+        for p, d in goal_walled_distances(n, goals, g).items():
+            near[p.row * n + p.col].append((min(d, cap), gcell))
+    return tuple(tuple(sorted(lst)) for lst in near)
 
 
 def _distance_shaping(state: WorldState, params: ValueParams):
     """Lookup data for the leaf distance term, or None when it is off.
 
-    Returns (weight, near, cap): near[cell] lists (distance, goal cell)
-    for every goal free in `state` that an agent on `cell` can capture,
-    nearest first, distances clipped at cap. Goals captured later in the
-    search are skipped at lookup time, so the tables serve every node of
-    one tree.
+    Returns (weight, near, cap) with near from _goal_tables and cap the
+    distance at which the term saturates.
     """
     w = params.distance_weight
     if not w:
         return None
-    n = state.n
-    cap = distance_cap(n)
-    near = [[] for _ in range(n * n)]
-    for g in state.goals - state.captured_cells():
-        gcell = g.row * n + g.col
-        for p, d in goal_walled_distances(n, state.goals, g).items():
-            near[p.row * n + p.col].append((min(d, cap), gcell))
-    return w, tuple(tuple(sorted(lst)) for lst in near), cap
+    return w, _goal_tables(state.n, state.goals), distance_cap(state.n)
 
 
 @dataclass(frozen=True)
@@ -127,9 +135,8 @@ class SearchNode:
     """One node of a plan tree.
 
     The node's delta is (agent, move): applying that single-agent move to
-    the parent's state yields this node's state. The root has no delta
-    and carries the full world state plus the search context (planning
-    agent, turn order, value parameters) for the whole tree.
+    the parent's state yields this node's state; dest is the flat cell
+    the move lands on. The root is a SearchRoot, which has no delta.
 
     turn_pos indexes the turn order; acting_agent == order[turn_pos] is
     the agent whose alternatives this node's children enumerate. sim_time
@@ -148,10 +155,6 @@ class SearchNode:
         "value",
         "visits",
         "children",
-        "state",
-        "planning_agent",
-        "params",
-        "order",
     )
 
     def __init__(self, parent, agent, move, dest, acting_agent, turn_pos, sim_time):
@@ -165,10 +168,6 @@ class SearchNode:
         self.value = 0.0
         self.visits = 0
         self.children = None
-        self.state = None
-        self.planning_agent = None
-        self.params = None
-        self.order = None
 
     @property
     def stats(self) -> NodeStats:
@@ -178,12 +177,6 @@ class SearchNode:
     def expanded(self) -> bool:
         return self.children is not None
 
-    def tree_root(self) -> "SearchNode":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
     def __repr__(self) -> str:  # debugging aid only
         mv = self.move.name if self.move is not None else "ROOT"
         return (
@@ -192,7 +185,23 @@ class SearchNode:
         )
 
 
-def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> SearchNode:
+class SearchRoot(SearchNode):
+    """Root of a plan tree: the full world state plus the search context
+    (planning agent, value parameters, turn order) of the whole tree."""
+
+    __slots__ = ("state", "planning_agent", "params", "order")
+
+    def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
+        super().__init__(None, None, None, None, planning_agent, 0, state.t)
+        self.state = state
+        self.planning_agent = planning_agent
+        self.params = params
+        self.order = (planning_agent,) + tuple(
+            a for a in range(state.n_agents) if a != planning_agent
+        )
+
+
+def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> SearchRoot:
     """Fresh unexpanded root for one plan_move call."""
     if not 0 <= planning_agent < state.n_agents:
         raise IndexError(f"planning agent {planning_agent} out of range")
@@ -200,27 +209,23 @@ def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> Se
         raise ValueError(
             f"params built for {params.n_agents} agents, state has {state.n_agents}"
         )
-    root = SearchNode(None, None, None, None, planning_agent, 0, state.t)
-    root.state = state
-    root.planning_agent = planning_agent
-    root.params = params
-    root.order = (planning_agent,) + tuple(
-        a for a in range(state.n_agents) if a != planning_agent
-    )
-    return root
+    return SearchRoot(state, planning_agent, params)
 
 
 class _Sim:
-    """Mutable scratch board mirroring one WorldState, flat-indexed."""
+    """Mutable scratch board mirroring one WorldState, flat-indexed.
 
-    __slots__ = ("n", "n_agents", "pos", "captured", "goal_at", "cap_at",
-                 "n_captured", "dests", "moves")
+    The board as built is kept as a snapshot; reset() restores it in
+    place, so the lists keep their identity for callers holding them.
+    """
+
+    __slots__ = ("n_agents", "pos", "captured", "goal_at", "cap_at",
+                 "n_captured", "moves", "steps", "snapshot")
 
     @classmethod
     def from_state(cls, state: WorldState) -> "_Sim":
         sim = cls()
         n = state.n
-        sim.n = n
         sim.n_agents = state.n_agents
         sim.pos = [p.row * n + p.col for p in state.agent_pos]
         sim.captured = [1 if c else 0 for c in state.captured]
@@ -232,47 +237,51 @@ class _Sim:
             if cap:
                 sim.cap_at[cell] = 1
         sim.n_captured = sum(sim.captured)
-        sim.dests, sim.moves = _tables(n)
+        sim.moves, sim.steps = _tables(n)
+        sim.snapshot = (sim.pos[:], sim.captured[:], sim.cap_at[:], sim.n_captured)
         return sim
 
-    def apply_delta(self, agent: int, dest: int) -> int:
-        """Move one agent to a flat cell; returns 1 if this captured it.
-
-        Mirrors grid.apply_move: landing on (or staying on) a free goal
-        pins the agent. Keep in sync with the inlined copies in
-        plan_move; those exist only to cut call overhead in hot loops.
-        """
-        got = 0
-        if self.goal_at[dest] and not self.cap_at[dest] and not self.captured[agent]:
-            self.captured[agent] = 1
-            self.cap_at[dest] = 1
-            self.n_captured += 1
-            got = 1
-        self.pos[agent] = dest
-        return got
-
-    def undo_delta(self, agent: int, old_pos: int, got: int) -> None:
-        if got:
-            self.captured[agent] = 0
-            self.cap_at[self.pos[agent]] = 0
-            self.n_captured -= 1
-        self.pos[agent] = old_pos
+    def reset(self) -> None:
+        pos, captured, cap_at, self.n_captured = self.snapshot
+        self.pos[:] = pos
+        self.captured[:] = captured
+        self.cap_at[:] = cap_at
 
 
-def _replay_sim(node: SearchNode) -> tuple[_Sim, SearchNode]:
+def _realize(sim: _Sim, nodes) -> None:
+    """Apply the deltas of `nodes`, in order, to the scratch board.
+
+    Mirrors grid.apply_move: landing on (or staying on) a free goal pins
+    the agent. The engine's only way from tree to board.
+    """
+    pos = sim.pos
+    captured = sim.captured
+    goal_at = sim.goal_at
+    cap_at = sim.cap_at
+    n_cap = sim.n_captured
+    for nd in nodes:
+        a = nd.agent
+        q = nd.dest
+        if goal_at[q] and not cap_at[q] and not captured[a]:
+            captured[a] = 1
+            cap_at[q] = 1
+            n_cap += 1
+        pos[a] = q
+    sim.n_captured = n_cap
+
+
+def _replay_sim(node: SearchNode) -> tuple[_Sim, SearchRoot]:
     """Scratch board realized at `node` by replaying deltas from the root."""
     chain = []
     cur = node
     while cur.parent is not None:
         chain.append(cur)
         cur = cur.parent
-    root = cur
-    if root.state is None:
+    if not isinstance(cur, SearchRoot):
         raise ValueError("node is not attached to a tree built by make_root")
-    sim = _Sim.from_state(root.state)
-    for nd in reversed(chain):
-        sim.apply_delta(nd.agent, nd.dest)
-    return sim, root
+    sim = _Sim.from_state(cur.state)
+    _realize(sim, reversed(chain))
+    return sim, cur
 
 
 def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> list[SearchNode]:
@@ -322,15 +331,16 @@ def _expand_on_sim(sim: _Sim, leaf: SearchNode, order) -> SearchNode:
         nst += 1
     nact = order[ntp]
     p = sim.pos[act]
-    kids = []
     if sim.captured[act]:
-        kids.append(SearchNode(leaf, act, Move.STAY, p, nact, ntp, nst))
+        kids = [SearchNode(leaf, act, Move.STAY, p, nact, ntp, nst)]
     else:
         cap_at = sim.cap_at
-        for mv, q in zip(sim.moves[p], sim.dests[p]):
-            if not cap_at[q]:
-                kids.append(SearchNode(leaf, act, Move(mv), q, nact, ntp, nst))
-        kids.append(SearchNode(leaf, act, Move.STAY, p, nact, ntp, nst))
+        # the playout's acceptance rule: Stay, or a cell that is not locked
+        kids = [
+            SearchNode(leaf, act, mv, q, nact, ntp, nst)
+            for mv, q in zip(sim.moves[p], sim.steps[p][0])
+            if q == p or not cap_at[q]
+        ]
     leaf.children = kids
     return kids[0]
 
@@ -356,30 +366,36 @@ def expand(leaf: SearchNode, planning_agent: int) -> SearchNode:
     return _expand_on_sim(sim, leaf, root.order)
 
 
-def _rollout_core(sim, n_cap, turn_pos, sim_time, t_final, planner, order, alpha, rand,
-                  shaping=None):
-    """Random playout from the realized scratch; returns the sample value.
+def _rollout_core(sim: _Sim, node: SearchNode, root: SearchRoot, rand, shaping=None):
+    """Random playout from the scratch realized at `node`; returns the sample.
 
-    Mutates sim in place and rolls every change back before returning.
-    The playout supplies the outcome (captured count and the planner's
-    own-capture mark, both read from its final state) while the depth
-    bonus is anchored to the evaluated node itself: its turn if it sits
-    on a turn boundary, the turn completing around it otherwise. Deep
-    nodes therefore score lower than shallow ones at equal playout
-    outcomes, which is the entire point of the bonus. `shaping` is None
-    or the (weight, near, cap) triple of _distance_shaping; the distance
-    term is read from the evaluated node too, before the playout moves
-    anyone.
+    Plays the board forward in place and leaves it at the playout's end;
+    the caller restores or discards it. The playout supplies the outcome
+    (captured count and the planner's own-capture mark, both read from
+    its final state) while the depth bonus is anchored to the evaluated
+    node itself: its turn if it sits on a turn boundary, the turn
+    completing around it otherwise. Deep nodes therefore score lower than
+    shallow ones at equal playout outcomes, which is the entire point of
+    the bonus. `shaping` is None or the (weight, near, cap) triple of
+    _distance_shaping; the distance term is read from the evaluated node
+    too, before the playout moves anyone.
+
+    Only live agents draw, so the loop walks a list of them. It is
+    rebuilt after a partial first turn and after any capture.
     """
+    params = root.params
+    t_final = params.t_final
+    order = root.order
     n_agents = sim.n_agents
     pos = sim.pos
     captured = sim.captured
     goal_at = sim.goal_at
     cap_at = sim.cap_at
-    dests = sim.dests
+    steps = sim.steps
+    n_cap = sim.n_captured
 
-    t = sim_time
-    tp = turn_pos
+    t = node.sim_time
+    tp = node.turn_pos
     node_time = t if tp == 0 else t + 1
     live = n_agents - n_cap
     if shaping is not None and live:
@@ -394,58 +410,38 @@ def _rollout_core(sim, n_cap, turn_pos, sim_time, t_final, planner, order, alpha
                     d = dg  # nearest first, so the first free goal wins
                     break
             dist_sum += d
-    if n_cap == n_agents:
-        g = n_cap
-        mark = captured[planner]
-    else:
-        undo = []
-        done = False
-        while t < t_final:
-            for i in range(tp, n_agents):
-                a = order[i]
-                if captured[a]:
-                    continue
-                p = pos[a]
-                nb = dests[p]
-                m = len(nb)
-                while True:
-                    j = int(rand() * (m + 1))
-                    if j == m:
-                        q = p
-                        break
-                    q = nb[j]
-                    if not cap_at[q]:
-                        break
-                # q is legal here, so any goal it lands on is free
-                if goal_at[q]:
-                    captured[a] = 1
-                    cap_at[q] = 1
-                    n_cap += 1
-                    pos[a] = q
-                    undo.append((a, p, 1))
-                    if n_cap == n_agents:
-                        done = True
-                        break
-                else:
-                    pos[a] = q
-                    undo.append((a, p, 0))
-            tp = 0
-            t += 1
-            if done:
-                break
-        g = n_cap
-        mark = captured[planner]
-        for a, p, got in reversed(undo):
-            if got:
-                captured[a] = 0
-                cap_at[pos[a]] = 0
-            pos[a] = p
+
+    movers = [a for a in order[tp:] if not captured[a]]
+    stale = tp != 0
+    while t < t_final:
+        for a in movers:
+            p = pos[a]
+            cells, m1 = steps[p]
+            while True:
+                q = cells[int(rand() * m1)]
+                if q == p or not cap_at[q]:
+                    break
+            pos[a] = q
+            # q is legal here, so any goal it lands on is free
+            if goal_at[q]:
+                captured[a] = 1
+                cap_at[q] = 1
+                n_cap += 1
+                stale = True
+        # an agent is captured only by its own draw, so the last live
+        # agent is the last mover of the turn that captures everyone
+        if n_cap == n_agents:
+            break
+        t += 1
+        if stale:
+            movers = [a for a in order if not captured[a]]
+            stale = False
 
     # same operation order as value_mod + depth_adjusted, so results are
     # bit-identical to the public value pipeline
-    val = g / n_agents
-    if mark:
-        val -= alpha / n_agents
+    val = n_cap / n_agents
+    if captured[root.planning_agent]:
+        val -= params.alpha / n_agents
     val += (1.0 - node_time / t_final) / n_agents
     if shaping is not None and live:
         # same operation order as values.distance_adjusted
@@ -461,18 +457,7 @@ def rollout(node: SearchNode, budget: SearchBudget, rng: Random) -> float:
         raise ValueError(
             f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
         )
-    return _rollout_core(
-        sim,
-        sim.n_captured,
-        node.turn_pos,
-        node.sim_time,
-        budget.t_final,
-        root.planning_agent,
-        root.order,
-        params.alpha,
-        rng.random,
-        _distance_shaping(root.state, params),
-    )
+    return _rollout_core(sim, node, root, rng.random, _distance_shaping(root.state, params))
 
 
 def backpropagate(path: list[SearchNode], value: float, rule: UpdateRule) -> None:
@@ -555,7 +540,7 @@ def plan_move(
     budget and params disagree about the horizon or population.
     debug_check_deltas re-derives every realized leaf state through the
     domain layer and fails loudly on any divergence; it is far too slow
-    for benchmarking but priceless when touching the undo logic.
+    for benchmarking but priceless when touching the scratch board.
     """
     if not 0 <= planning_agent < state.n_agents:
         raise IndexError(f"planning agent {planning_agent} out of range")
@@ -577,67 +562,22 @@ def plan_move(
     sim = _Sim.from_state(state)
     n_agents = sim.n_agents
     t_final = budget.t_final
-    alpha = params.alpha
     rule = params.update_rule
     c = budget.exploration_c
     rand = rng.random
     shaping = _distance_shaping(state, params)
 
-    pos = sim.pos
-    captured = sim.captured
-    goal_at = sim.goal_at
-    cap_at = sim.cap_at
-    n_cap_root = sim.n_captured
-
     for _ in range(budget.iterations):
         path = select(root, c)
         leaf = path[-1]
-
-        # realize the leaf on the scratch board (inlined apply_delta)
-        undo = []
-        n_cap = n_cap_root
-        for nd in path[1:]:
-            a = nd.agent
-            q = nd.dest
-            p = pos[a]
-            got = 0
-            if goal_at[q] and not cap_at[q] and not captured[a]:
-                captured[a] = 1
-                cap_at[q] = 1
-                n_cap += 1
-                got = 1
-            pos[a] = q
-            undo.append((a, p, got))
-
-        if n_cap < n_agents and leaf.sim_time < t_final:
-            child = _expand_on_sim(sim, leaf, order)
-            path.append(child)
-            a = child.agent
-            q = child.dest
-            p = pos[a]
-            got = 0
-            if goal_at[q] and not cap_at[q] and not captured[a]:
-                captured[a] = 1
-                cap_at[q] = 1
-                n_cap += 1
-                got = 1
-            pos[a] = q
-            undo.append((a, p, got))
-            leaf = child
-
+        _realize(sim, path[1:])
+        if sim.n_captured < n_agents and leaf.sim_time < t_final:
+            leaf = _expand_on_sim(sim, leaf, order)
+            path.append(leaf)
+            _realize(sim, (leaf,))
         if debug_check_deltas:
             _verify_deltas(state, path, sim)
-
-        sample = _rollout_core(
-            sim, n_cap, leaf.turn_pos, leaf.sim_time, t_final,
-            planning_agent, order, alpha, rand, shaping,
-        )
-        backpropagate(path, sample, rule)
-
-        for a, p, got in reversed(undo):
-            if got:
-                captured[a] = 0
-                cap_at[pos[a]] = 0
-            pos[a] = p
+        backpropagate(path, _rollout_core(sim, leaf, root, rand, shaping), rule)
+        sim.reset()
 
     return best_action(root)

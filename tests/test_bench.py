@@ -208,3 +208,18 @@ def test_main_sweep_mode(tmp_path, capsys):
     assert rows[0][0] == "t_final"
     assert [r[0] for r in rows[1:]] == ["3", "6", "9"]
     assert "t_final=9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--instances", "--repeats", "--iterations", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_main_rejects_non_positive_counts(flag, value, capsys):
+    # rejected while parsing: exit code 2, no CSV header, no run
+    with pytest.raises(SystemExit) as exc:
+        main(["--grid-size", "4", "--agents", "2", flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be at least 1, got {value}" in err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--grid-size", "4", "--agents", "2", flag, "two"])
+    capsys.readouterr()

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from gridmcts.coordinator import EpisodeConfig, run_episode
 from gridmcts.grid import (
     GridConfig,
     Move,
@@ -713,3 +714,130 @@ def test_shaped_full_tree_statistics_match_reference():
         diffs = compare_trees(ref.root, root)
         assert not diffs, diffs[:4]
         checked += 1
+
+
+# ------------------------- engine <-> reference, agents captured at the root
+
+
+def _captured_scenario(meta):
+    """A state in which 1 to n_agents - 1 agents already hold a goal.
+
+    Starts and goals are not disjoint here, unlike _random_scenario, so
+    locked goals sit on the root board from the first iteration on.
+    """
+    n = meta.choice([3, 4, 5])
+    na = meta.choice([2, 3, 4])
+    cells = [Position(r, c) for r in range(n) for c in range(n)]
+    meta.shuffle(cells)
+    goals = cells[:na]
+    held = meta.randrange(1, na)
+    starts = goals[:held] + cells[na : 2 * na - held]
+    meta.shuffle(starts)
+    tf = 3 * n
+    s = WorldState(n, meta.randrange(3), tuple(starts), frozenset(goals),
+                   tuple(p in goals for p in starts))
+    p = ValueParams(meta.choice([0.0, 0.5, 1.0]),
+                    meta.choice([UpdateRule.MEAN, UpdateRule.MAX]), na, tf)
+    b = SearchBudget(meta.choice([8, 33, 64]), tf, meta.choice([0.5, 2**0.5]))
+    agent = meta.choice([a for a in range(na) if not s.captured[a]])
+    return s, p, b, agent
+
+
+def test_plan_move_matches_reference_with_agents_captured_at_root():
+    meta = Random(9001)
+    for _ in range(30):
+        s, p, b, agent = _captured_scenario(meta)
+        assert 0 < sum(s.captured) < s.n_agents
+        seed = meta.randrange(2**60)
+        for w in (0.0, 0.5):
+            pw = dataclasses.replace(p, distance_weight=w)
+            assert plan_move(s, agent, b, pw, Random(seed), debug_check_deltas=True) == \
+                ref_plan_move(s, agent, b, pw, Random(seed))
+
+
+def test_tree_statistics_match_reference_with_agents_captured_at_root(monkeypatch):
+    import gridmcts.mcts as M
+
+    # plan_move builds its tree on the scratch board and hands only the
+    # root to best_action; keep that root to compare the engine's own tree
+    roots = []
+    real_best_action = M.best_action
+
+    def keep_root(root):
+        roots.append(root)
+        return real_best_action(root)
+
+    monkeypatch.setattr(M, "best_action", keep_root)
+    meta = Random(9002)
+    for _ in range(12):
+        s, p, b, agent = _captured_scenario(meta)
+        seed = meta.randrange(2**60)
+        for w in (0.0, 0.5):
+            pw = dataclasses.replace(p, distance_weight=w)
+            plan_move(s, agent, b, pw, Random(seed))
+            ref = ref_plan_tree(s, agent, b, pw, Random(seed))
+            diffs = compare_trees(ref.root, roots.pop())
+            assert not diffs, diffs[:4]
+            # the public step functions build the same tree
+            root = make_root(s, agent, pw)
+            rng = Random(seed)
+            for _ in range(b.iterations):
+                path = select(root, b.exploration_c)
+                leaf = path[-1]
+                sim, _ = M._replay_sim(leaf)
+                if not (sim.n_captured == sim.n_agents or leaf.sim_time >= pw.t_final):
+                    leaf = expand(leaf, agent)
+                    path.append(leaf)
+                backpropagate(path, rollout(leaf, b, rng), pw.update_rule)
+            diffs = compare_trees(ref.root, root)
+            assert not diffs, diffs[:4]
+
+
+# ------------------------------------------------------ goal table memo
+
+
+def _episode(inst, iterations=40):
+    n, na = inst.grid.n, inst.grid.n_agents
+    tf = 3 * n
+    return EpisodeConfig(
+        grid=inst.grid,
+        budget=SearchBudget(iterations, tf),
+        params=ValueParams(0.0, UpdateRule.MEAN, na, tf, distance_weight=0.5),
+        global_seed=5,
+    )
+
+
+def test_episode_sweeps_each_goal_once(monkeypatch):
+    import gridmcts.mcts as M
+
+    a, b = generate_instance(6, 4, 0, 0), generate_instance(6, 4, 1, 0)
+    assert set(a.goals) != set(b.goals)
+    run_episode(_episode(b), b)  # whatever the memo held, it holds b now
+    targets = []
+    real_sweep = M.goal_walled_distances
+
+    def counted(n, goals, target):
+        targets.append(target)
+        return real_sweep(n, goals, target)
+
+    monkeypatch.setattr(M, "goal_walled_distances", counted)
+    trace = run_episode(_episode(a), a)
+    # several plan calls, each of which would sweep again without the memo
+    assert trace.states[0].captured.count(False) >= 2
+    assert sorted(targets) == sorted(a.goals)
+
+
+def test_goal_tables_are_never_served_stale():
+    import gridmcts.mcts as M
+
+    a, b = generate_instance(6, 4, 0, 0), generate_instance(6, 4, 1, 0)
+
+    def states(inst):
+        return run_episode(_episode(inst), inst).states
+
+    in_turn = [states(i) for i in (a, b, a)]
+    fresh = []
+    for inst in (a, b, a):
+        M._goal_tables.cache_clear()
+        fresh.append(states(inst))
+    assert in_turn == fresh

@@ -13,10 +13,12 @@ from gridmcts.grid import (
     Position,
     goal_walled_distances,
     initial_state,
+    legal_moves,
     manhattan,
 )
 from gridmcts.oracle import (
     OracleResult,
+    _joint_successors,
     assignment_lower_bound,
     certify_unsolvable,
     exact_joint_search,
@@ -245,3 +247,29 @@ def test_certificate_names_the_unreachable_gate_instance():
     # MP1010-9 of the acceptance ensemble: the goal (1,0) has only goal
     # neighbors, (0,0), (1,1) and (2,0), and no agent starts on it
     assert certify_unsolvable(generate_instance(10, 10, 9, 0)) == (Position(1, 0),)
+
+
+@st.composite
+def _states_and_proposals(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    na = draw(st.integers(1, min(4, n * n // 2)))
+    cells = [Position(r, c) for r in range(n) for c in range(n)]
+    goals = draw(st.lists(st.sampled_from(cells), min_size=na, max_size=na, unique=True))
+    starts = draw(st.lists(st.sampled_from(cells), min_size=na, max_size=na, unique=True))
+    state = initial_state(GridConfig(n, na), starts, goals)
+    proposals = tuple(draw(st.sampled_from(legal_moves(state, a))) for a in range(na))
+    return state, proposals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states_and_proposals())
+def test_merge_moves_and_joint_successors_correspond(case):
+    # the module docstring's claim: any joint move the oracle expands is
+    # realizable by the merge rule, and the merge yields nothing else
+    state, proposals = case
+    successors = list(_joint_successors(state.n, state.goals, state.agent_pos, state.captured))
+    merged = merge_states(state, proposals)
+    assert (merged.agent_pos, merged.captured) in [(d, c) for _, d, c in successors]
+    for moves, dests, cap in successors:
+        out = merge_states(state, moves)
+        assert (out.agent_pos, out.captured) == (dests, cap)
