@@ -61,12 +61,5 @@ from .scenarios import (
     search_space_exponent,
     write_instance,
 )
-from .bench import (
-    DEFAULT_DISTANCE_WEIGHT,
-    RunRecord,
-    SweepPoint,
-    run_full_accuracy,
-    run_time_accuracy_sweep,
-)
 
 __version__ = "0.1.0"

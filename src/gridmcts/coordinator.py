@@ -6,13 +6,12 @@ merges the proposals, resolving destination conflicts, and advances the
 clock by one. Captured agents are skipped outright, they always stay.
 
 Per-plan randomness is derived from (global_seed, agent, t) with a
-bit-exact integer mixer, so a parallel run replays the serial run
-move for move: each plan call owns an isolated RNG either way.
+bit-exact integer mixer, so each plan call owns an isolated RNG and the
+order in which live agents are planned cannot change a trace.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -130,42 +129,12 @@ def merge_states(state: WorldState, proposals) -> WorldState:
     return out
 
 
-def _plan_one(state: WorldState, agent: int, cfg: EpisodeConfig) -> tuple[Move, float]:
-    rng = Random(derive_agent_seed(cfg.global_seed, agent, state.t))
-    t0 = time.perf_counter()
-    mv = plan_move(state, agent, cfg.budget, cfg.params, rng)
-    return mv, time.perf_counter() - t0
-
-
-def _plan_round(state, cfg, parallel, max_workers):
-    n_agents = state.n_agents
-    moves: list[Move] = [Move.STAY] * n_agents
-    secs = [0.0] * n_agents
-    live = [a for a in range(n_agents) if not state.captured[a]]
-    if parallel and len(live) > 1:
-        workers = min(max_workers or len(live), len(live))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(lambda a: _plan_one(state, a, cfg), live)
-            for a, (mv, dt) in zip(live, results):
-                moves[a] = mv
-                secs[a] = dt
-    else:
-        for a in live:
-            moves[a], secs[a] = _plan_one(state, a, cfg)
-    return moves, secs
-
-
-def run_episode(
-    cfg: EpisodeConfig,
-    instance: Instance,
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> EpisodeTrace:
+def run_episode(cfg: EpisodeConfig, instance: Instance) -> EpisodeTrace:
     """Play one episode on `instance` and return the full trace.
 
-    The planner pool (serial or thread-parallel) yields identical traces
-    because every plan call is seeded independently of execution order.
+    Live agents are planned one after another in id order; since every
+    plan call is seeded from (global_seed, agent, t) alone, any other
+    order would yield the same trace.
     Agents that start on goals are captured at t=0; if that captures
     everyone the trace is the single initial state with makespan 0.
     """
@@ -178,7 +147,15 @@ def run_episode(
     states = [state]
     plan_seconds = []
     while not is_terminal(state, cfg.budget.t_final):
-        moves, secs = _plan_round(state, cfg, parallel, max_workers)
+        moves = [Move.STAY] * state.n_agents
+        secs = [0.0] * state.n_agents
+        for a in range(state.n_agents):
+            if state.captured[a]:
+                continue
+            rng = Random(derive_agent_seed(cfg.global_seed, a, state.t))
+            t0 = time.perf_counter()
+            moves[a] = plan_move(state, a, cfg.budget, cfg.params, rng)
+            secs[a] = time.perf_counter() - t0
         state = merge_states(state, moves)
         states.append(state)
         plan_seconds.append(tuple(secs))

@@ -127,8 +127,10 @@ class SearchBudget:
             raise ValueError(f"iterations must be positive, got {self.iterations}")
         if self.t_final < 0:
             raise ValueError(f"t_final must be non-negative, got {self.t_final}")
-        if self.exploration_c < 0:
-            raise ValueError(f"exploration_c must be non-negative, got {self.exploration_c}")
+        if not (math.isfinite(self.exploration_c) and self.exploration_c >= 0):
+            raise ValueError(
+                f"exploration_c must be finite and non-negative, got {self.exploration_c}"
+            )
 
 
 class SearchNode:
@@ -542,12 +544,7 @@ def plan_move(
     domain layer and fails loudly on any divergence; it is far too slow
     for benchmarking but priceless when touching the scratch board.
     """
-    if not 0 <= planning_agent < state.n_agents:
-        raise IndexError(f"planning agent {planning_agent} out of range")
-    if params.n_agents != state.n_agents:
-        raise ValueError(
-            f"params built for {params.n_agents} agents, state has {state.n_agents}"
-        )
+    root = make_root(state, planning_agent, params)
     if budget.t_final != params.t_final:
         raise ValueError(
             f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
@@ -557,7 +554,6 @@ def plan_move(
     if is_terminal(state, budget.t_final):
         raise ValueError("cannot plan from a terminal state")
 
-    root = make_root(state, planning_agent, params)
     order = root.order
     sim = _Sim.from_state(state)
     n_agents = sim.n_agents

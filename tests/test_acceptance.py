@@ -15,16 +15,22 @@ from random import Random
 import pytest
 
 from gridmcts.bench import run_full_accuracy, run_time_accuracy_sweep
-from gridmcts.coordinator import EpisodeConfig, merge_states, run_episode
+from gridmcts.coordinator import (
+    EpisodeConfig,
+    derive_agent_seed,
+    merge_states,
+    run_episode,
+)
 from gridmcts.grid import (
     GridConfig,
+    Move,
     Position,
     initial_state,
     legal_moves,
     manhattan,
     success_rate,
 )
-from gridmcts.mcts import SearchBudget, make_root, rollout, expand
+from gridmcts.mcts import SearchBudget, make_root, plan_move, rollout, expand
 from gridmcts.oracle import assignment_lower_bound, certify_unsolvable
 from gridmcts.scenarios import generate_instance
 from gridmcts.values import (
@@ -232,8 +238,11 @@ def test_criterion_06_merge_stress_and_monotone_traces():
             f"{merges} merges clean={ok}, 30 traces monotone={traces_ok}")
 
 
-def test_criterion_07_serial_equals_parallel():
+def test_criterion_07_plans_independent_of_order():
+    # every plan call is seeded from (global_seed, agent, t) alone, so
+    # planning the live agents in reverse id order replays each round
     ok = True
+    rounds = 0
     for n, na, seed in [(3, 2, 5), (4, 3, 6), (5, 5, 7), (5, 4, 8)]:
         inst = generate_instance(n, na, 0, seed)
         cfg = EpisodeConfig(
@@ -242,15 +251,17 @@ def test_criterion_07_serial_equals_parallel():
             params=ValueParams(0.5, UpdateRule.MEAN, na, 3 * n),
             global_seed=seed,
         )
-        a = run_episode(cfg, inst)
-        b = run_episode(cfg, inst, parallel=True)
-        if (a.states, a.makespan, a.success_rate) != (
-            b.states,
-            b.makespan,
-            b.success_rate,
-        ):
-            ok = False
-    _report(7, ok, "traces identical for 4 configs (wall-clock excluded)")
+        trace = run_episode(cfg, inst)
+        for state, nxt in zip(trace.states, trace.states[1:]):
+            moves = [Move.STAY] * na
+            for a in reversed(range(na)):
+                if not state.captured[a]:
+                    rng = Random(derive_agent_seed(cfg.global_seed, a, state.t))
+                    moves[a] = plan_move(state, a, cfg.budget, cfg.params, rng)
+            if merge_states(state, moves) != nxt:
+                ok = False
+            rounds += 1
+    _report(7, ok, f"{rounds} rounds of 4 configs replayed in reverse agent order")
 
 
 def _mean_live_plan_seconds(trace) -> float:

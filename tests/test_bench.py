@@ -1,6 +1,10 @@
 """Benchmark harness: records, CSV shape, CLI contract."""
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,27 @@ def test_main_exit_codes(capsys):
     assert main(["--grid-size", "1", "--agents", "1"]) == 2
     assert main(["--grid-size", "2", "--agents", "99"]) == 2
     capsys.readouterr()
+
+
+def test_main_rejects_nan_exploration_constant(capsys):
+    code = main(["--grid-size", "4", "--agents", "2", "--instances", "1",
+                 "--iterations", "20", "--exploration-c", "nan"])
+    assert code != 0
+    assert "exploration_c" in capsys.readouterr().err
+
+
+def test_module_entry_point_imports_once():
+    # `python -m gridmcts.bench` warns if importing the package already
+    # loaded gridmcts.bench; -W error turns that warning into a failure
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gridmcts.bench",
+         "--grid-size", "4", "--agents", "2", "--instances", "1", "--iterations", "20"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_sweep_mode(tmp_path, capsys):

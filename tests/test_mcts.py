@@ -87,6 +87,9 @@ def test_budget_validation():
         SearchBudget(5, -1)
     with pytest.raises(ValueError):
         SearchBudget(5, 10, -0.1)
+    for c in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="exploration_c"):
+            SearchBudget(5, 10, c)
     assert SearchBudget(5, 10).exploration_c == DEFAULT_EXPLORATION_C
 
 
