@@ -264,14 +264,22 @@ def _summarize(records) -> str:
     )
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(0, text)
 
 
 def _parse_sweep(spec: str):
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed; instances and episodes derive from it")
     p.add_argument("--iterations", type=_positive_int, default=2000,
                    help="search iterations per plan call (default 2000)")
-    p.add_argument("--t-final", type=int, default=None,
+    p.add_argument("--t-final", type=_non_negative_int, default=None,
                    help="episode horizon (default 3*N)")
     p.add_argument("--alpha", type=float, default=0.0, choices=[0.0, 0.5, 1.0],
                    help="self-capture penalty weight (default 0.0)")
@@ -311,14 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="UCT exploration constant (default sqrt(2))")
     p.add_argument("--repeats", type=_positive_int, default=1,
                    help="episodes per instance (default 1)")
-    p.add_argument("--sweep-t-final", type=_parse_sweep, default=None,
-                   metavar="A:B:STEP",
-                   help="sweep the horizon over a range instead of one accuracy run")
+    # the sweep has no oracle columns, so the two modes exclude each other
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--sweep-t-final", type=_parse_sweep, default=None,
+                      metavar="A:B:STEP",
+                      help="sweep the horizon over a range instead of one accuracy run")
+    mode.add_argument("--oracle-check", action="store_true",
+                      help="also solve each instance exactly where tractable "
+                           f"(up to {_MAX_N}x{_MAX_N}, {_MAX_AGENTS} agents)")
     p.add_argument("--out", default=None, metavar="CSV",
                    help="write CSV here (default stdout)")
-    p.add_argument("--oracle-check", action="store_true",
-                   help="also solve each instance exactly where tractable "
-                        f"(up to {_MAX_N}x{_MAX_N}, {_MAX_AGENTS} agents)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes (default 1)")
     return p

@@ -3,19 +3,23 @@
 Two independent implementations of the same question ("can every goal
 be captured within t steps, and how fast at best?") so each can check
 the other: a breadth-first sweep over joint states and an iterative
-deepening depth-first search with an admissible distance prune. Both
-use the coordinator's joint-move semantics: every agent steps or stays
-simultaneously, destinations must be pairwise distinct, locked goals
-are impassable, and landing on a free goal captures. Any such joint
-move is realizable by the merge rule and vice versa, so the optimal
-makespan found here is the true optimum of the executed system.
+deepening depth-first search with an admissible distance prune. The
+sweep runs on flat cells (r * n + c) with a capture bitmask and builds
+successors agent by agent, in the lexicographic order that
+itertools.product gives; the deepening search expands Position tuples
+through _joint_successors, which enumerates with product itself, so
+the two share no successor code. Both use the coordinator's joint-move
+semantics: every agent steps or stays simultaneously, destinations
+must be pairwise distinct, locked goals are impassable, and landing on
+a free goal captures. Any such joint move is realizable by the merge
+rule and vice versa, so the optimal makespan found here is the true
+optimum of the executed system.
 
 ``certify_unsolvable`` answers a coarser question at any board size and
 any horizon: it proves an instance unsolvable from reachability alone.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -88,8 +92,44 @@ def _joint_successors(n, goals, pos, cap):
         yield moves, dests, new_cap
 
 
+def _cell_steps(n):
+    """Per flat cell, its (Move, dest cell) options: in-bounds cardinal
+    steps in Move order, then Stay, the order _joint_successors uses."""
+    steps = []
+    for r in range(n):
+        for c in range(n):
+            here = Position(r, c)
+            opts = []
+            for m in CARDINAL_MOVES:
+                q = move_dest(here, m)
+                if 0 <= q.row < n and 0 <= q.col < n:
+                    opts.append((m, q.row * n + q.col))
+            opts.append((Move.STAY, r * n + c))
+            steps.append(tuple(opts))
+    return steps
+
+
 def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     """Breadth-first search over joint states; exact and minimal.
+
+    A state is the tuple of agent cells, flat as r * n + c, with a
+    capture bitmask (bit i set once agent i is captured). An agent is
+    captured exactly when its cell is a goal: live agents never stand
+    on one, since stepping onto a free goal captures and locked goals
+    are impassable. So the cells alone key the visited table, and the
+    mask rides along in the frontier for expansion and the goal test.
+
+    Successors are built agent by agent: every partial joint move is
+    extended, in order, by the agent's in-bounds destinations in Move
+    order with Stay last, skipping any cell an earlier agent took; a
+    captured agent only stays. A locked goal needs no filter of its
+    own: its captured agent stays on it, so a joint move that enters it
+    always clashes. Extending in order yields the clash-free
+    combinations in the order itertools.product gives over the
+    per-agent options, the order _joint_successors uses, so states are
+    discovered in the same order and the witness is the same one. Its
+    moves are read back from consecutive cells of the parent chain.
+    Levels are expanded up to depth t_final.
 
     Only boards up to 5x5 with at most 3 agents are accepted, the state
     space beyond that is no longer desk-sized.
@@ -106,29 +146,43 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     if all(cap0):
         return OracleResult(True, 0, _per_agent([], na))
 
-    start_key = (starts, cap0)
-    parent: dict = {start_key: None}
-    frontier = deque([(start_key, 0)])
-    while frontier:
-        (pos, cap), depth = frontier.popleft()
-        if depth >= t_final:
-            continue
-        for moves, dests, new_cap in _joint_successors(n, goals, pos, cap):
-            key = (dests, new_cap)
-            if key in parent:
-                continue
-            parent[key] = ((pos, cap), moves)
-            if all(new_cap):
-                # walk the parent chain back to the start for the witness
-                chain = [moves]
-                back = parent[key][0]
-                while parent[back] is not None:
-                    prev, mv = parent[back]
-                    chain.append(mv)
-                    back = prev
-                chain.reverse()
-                return OracleResult(True, depth + 1, _per_agent(chain, na))
-            frontier.append((key, depth + 1))
+    steps = _cell_steps(n)
+    dests_of = [tuple(q for _, q in opts) for opts in steps]
+    move_of = {(c, q): m for c, opts in enumerate(steps) for m, q in opts}
+    is_goal = bytearray(n * n)
+    for g in goals:
+        is_goal[g.row * n + g.col] = 1
+    bits = [1 << i for i in range(na)]
+    full = (1 << na) - 1
+    start = tuple(p.row * n + p.col for p in starts)
+    parent: dict = {start: None}
+    frontier = [(start, sum(b for b, c in zip(bits, cap0) if c))]
+    for depth in range(t_final):
+        level = []
+        for cells, mask in frontier:
+            partial = [()]
+            for cell, b in zip(cells, bits):
+                opts = (cell,) if mask & b else dests_of[cell]
+                partial = [d + (q,) for d in partial for q in opts if q not in d]
+            for dests in partial:
+                if dests in parent:
+                    continue
+                parent[dests] = cells
+                new_mask = mask
+                for q, b in zip(dests, bits):
+                    if is_goal[q]:
+                        new_mask |= b
+                if new_mask == full:
+                    # walk the parent chain back to the start for the witness
+                    chain = []
+                    while parent[dests] is not None:
+                        prev = parent[dests]
+                        chain.append(tuple(move_of[a, q] for a, q in zip(prev, dests)))
+                        dests = prev
+                    chain.reverse()
+                    return OracleResult(True, depth + 1, _per_agent(chain, na))
+                level.append((dests, new_mask))
+        frontier = level
     return OracleResult(False, None, None)
 
 

@@ -13,11 +13,19 @@ a forward search per live agent through legal_moves and apply_move
 until the domain layer itself reports a capture, where the engine runs
 backward sweeps from the goals over a flat board.
 
+The exact oracle has a twin here too: ref_exact_joint_search is the
+breadth-first search over Position tuples and capture flags that
+gridmcts.oracle.exact_joint_search replaced with flat cells and a
+bitmask. It expands through oracle._joint_successors, the
+itertools.product enumeration the oracle's own docstring says its
+order equals.
+
 Slow on purpose. Keep grids small when driving it.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from random import Random
 
 from gridmcts.grid import (
@@ -30,6 +38,14 @@ from gridmcts.grid import (
     move_dest,
 )
 from gridmcts.mcts import SearchBudget
+from gridmcts.oracle import (
+    _MAX_AGENTS,
+    _MAX_N,
+    OracleResult,
+    _flatten,
+    _joint_successors,
+    _per_agent,
+)
 from gridmcts.values import (
     NodeStats,
     UpdateRule,
@@ -288,3 +304,43 @@ def compare_trees(ref_node: RefNode, node) -> list[str]:
 
     walk(ref_node, node, "root")
     return diffs
+
+
+def ref_exact_joint_search(instance, t_final: int) -> OracleResult:
+    """Breadth-first search over (Position tuple, capture flags) states."""
+    n, na = instance.grid.n, instance.grid.n_agents
+    if n > _MAX_N or na > _MAX_AGENTS:
+        raise ValueError(
+            f"joint search handles up to {_MAX_N}x{_MAX_N} and {_MAX_AGENTS} agents, "
+            f"got {n}x{n} with {na}"
+        )
+    if t_final < 0:
+        raise ValueError(f"t_final must be non-negative, got {t_final}")
+    starts, goals, cap0 = _flatten(instance)
+    if all(cap0):
+        return OracleResult(True, 0, _per_agent([], na))
+
+    start_key = (starts, cap0)
+    parent: dict = {start_key: None}
+    frontier = deque([(start_key, 0)])
+    while frontier:
+        (pos, cap), depth = frontier.popleft()
+        if depth >= t_final:
+            continue
+        for moves, dests, new_cap in _joint_successors(n, goals, pos, cap):
+            key = (dests, new_cap)
+            if key in parent:
+                continue
+            parent[key] = ((pos, cap), moves)
+            if all(new_cap):
+                # walk the parent chain back to the start for the witness
+                chain = [moves]
+                back = parent[key][0]
+                while parent[back] is not None:
+                    prev, mv = parent[back]
+                    chain.append(mv)
+                    back = prev
+                chain.reverse()
+                return OracleResult(True, depth + 1, _per_agent(chain, na))
+            frontier.append((key, depth + 1))
+    return OracleResult(False, None, None)

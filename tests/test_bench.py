@@ -248,3 +248,29 @@ def test_main_rejects_non_positive_counts(flag, value, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--grid-size", "4", "--agents", "2", flag, "two"])
     capsys.readouterr()
+
+
+def test_main_rejects_oracle_check_in_sweep_mode(capsys):
+    # the sweep has no oracle path; the flag must not be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main(["--grid-size", "4", "--agents", "2", "--instances", "1",
+              "--iterations", "5", "--sweep-t-final", "0:2:1", "--oracle-check"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--oracle-check" in err and "--sweep-t-final" in err
+
+
+def test_main_rejects_negative_horizon(capsys):
+    # rejected while parsing like the count flags; 0 stays a valid horizon
+    with pytest.raises(SystemExit) as exc:
+        main(["--grid-size", "4", "--agents", "2", "--t-final", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --t-final: must be at least 0, got -1" in err
+    assert build_parser().parse_args(
+        ["--grid-size", "4", "--agents", "2", "--t-final", "0"]).t_final == 0
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--grid-size", "4", "--agents", "2", "--t-final", "two"])
+    capsys.readouterr()

@@ -25,6 +25,7 @@ from gridmcts.oracle import (
     iterative_deepening_search,
 )
 from gridmcts.scenarios import Instance, generate_instance
+from reference import ref_exact_joint_search
 
 
 def inst(n, starts, goals, name=None):
@@ -131,6 +132,44 @@ def test_bfs_and_iddfs_agree():
         b = iterative_deepening_search(i, tf)
         assert a.solvable_within == b.solvable_within, (i.name, tf)
         assert a.optimal_makespan == b.optimal_makespan, (i.name, tf)
+
+
+def test_bfs_and_iddfs_agree_on_5x5_three_agents():
+    # the oracle's largest accepted size, the benchmark's 5x5/3 instances
+    for k in range(6):
+        i = generate_instance(5, 3, k, 0)
+        a = exact_joint_search(i, 15)
+        b = iterative_deepening_search(i, 15)
+        assert a.solvable_within == b.solvable_within, i.name
+        assert a.optimal_makespan == b.optimal_makespan, i.name
+
+
+SMALL_EXACT = [(4, 3, k) for k in range(10)] + [(5, 3, k) for k in range(6)]
+
+
+@pytest.mark.parametrize("n,na,k", SMALL_EXACT)
+def test_matches_reference_twin_on_benchmark_instances(n, na, k):
+    # same verdict, optimum and witness as the Position-based search
+    i = generate_instance(n, na, k, 0)
+    assert exact_joint_search(i, 3 * n) == ref_exact_joint_search(i, 3 * n)
+
+
+@st.composite
+def _layouts(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    na = draw(st.integers(1, min(3, n * n // 2)))
+    cells = [Position(r, c) for r in range(n) for c in range(n)]
+    # starts and goals are drawn apart, so a start may sit on a goal
+    goals = draw(st.lists(st.sampled_from(cells), min_size=na, max_size=na, unique=True))
+    starts = draw(st.lists(st.sampled_from(cells), min_size=na, max_size=na, unique=True))
+    return inst(n, starts, goals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layouts())
+def test_matches_reference_twin_on_small_layouts(i):
+    for tf in (0, 1, 2, 3 * i.grid.n):
+        assert exact_joint_search(i, tf) == ref_exact_joint_search(i, tf), tf
 
 
 # -------------------------------------------------- assignment_lower_bound
