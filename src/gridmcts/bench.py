@@ -335,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # the sweep takes its horizons from its range; --t-final would be dropped.
+    # Not a mutually exclusive group: --t-final with --oracle-check is valid.
+    if args.sweep_t_final is not None and args.t_final is not None:
+        parser.error("argument --t-final: not allowed with argument --sweep-t-final")
     try:
         GridConfig(args.grid_size, args.agents)
     except ValueError as e:

@@ -7,12 +7,13 @@ one simulated time step spans n_agents consecutive tree levels. The
 searcher models everyone but only the root move of the planning agent is
 ever executed; the coordinator merges the independently chosen moves.
 
-Node deltas, not full states: every node stores only (agent, move) and
-the engine realizes a node's state by applying the deltas on its path to
-one mutable scratch board. The playout then mutates the same board in
-place, and a snapshot of the root board taken once per plan_move call is
-restored by slice assignment after every sample, so no N x N grid is
-ever rebuilt during search and nothing is undone step by step.
+Node deltas, not full states: every node stores only (agent, move). The
+root is the search session: it owns one mutable scratch board and
+realizes a node's state by applying the deltas on its path to it. The
+playout then mutates the same board in place, and a snapshot of the root
+board is restored by slice assignment after every sample, so no N x N
+grid is ever rebuilt during search and nothing is undone step by step.
+plan_move and the public expand and rollout all run on that board.
 
 Leaf evaluation splits its inputs: the playout's final state supplies
 the outcome (captured count, planner's own-capture mark) while the
@@ -22,7 +23,7 @@ goal-distance term (``ValueParams.distance_weight``) is anchored the
 same way: it reads the evaluated node's own live agents and free goals.
 Its goal-walled distance tables depend only on the board size and the
 goal set, so they are built once per goal set, one breadth-first sweep
-per goal, and shared by every plan_move call of an episode. Uniform
+per goal, and shared by every search session of an episode. Uniform
 playouts rarely reach a goal whose only approach is nearly as long as
 the turns left, so without this term the root children of a stranded
 last agent all score alike.
@@ -102,18 +103,6 @@ def _goal_tables(n: int, goals: frozenset):
     return tuple(tuple(sorted(lst)) for lst in near)
 
 
-def _distance_shaping(state: WorldState, params: ValueParams):
-    """Lookup data for the leaf distance term, or None when it is off.
-
-    Returns (weight, near, cap) with near from _goal_tables and cap the
-    distance at which the term saturates.
-    """
-    w = params.distance_weight
-    if not w:
-        return None
-    return w, _goal_tables(state.n, state.goals), distance_cap(state.n)
-
-
 @dataclass(frozen=True)
 class SearchBudget:
     """Per-call search effort and episode horizon."""
@@ -188,10 +177,18 @@ class SearchNode:
 
 
 class SearchRoot(SearchNode):
-    """Root of a plan tree: the full world state plus the search context
-    (planning agent, value parameters, turn order) of the whole tree."""
+    """Root of a plan tree and its search session.
 
-    __slots__ = ("state", "planning_agent", "params", "order")
+    Holds the full world state, the context of the whole tree (planning
+    agent, value parameters, turn order), the leaf distance term's lookup
+    data and the flat-indexed scratch board every search step runs on.
+    Between steps the board equals its snapshot taken here; _reset()
+    restores it in place, so the lists keep their identity.
+    """
+
+    __slots__ = ("state", "planning_agent", "params", "order", "shaping",
+                 "pos", "captured", "goal_at", "cap_at", "n_captured",
+                 "moves", "steps", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
         super().__init__(None, None, None, None, planning_agent, 0, state.t)
@@ -201,10 +198,198 @@ class SearchRoot(SearchNode):
         self.order = (planning_agent,) + tuple(
             a for a in range(state.n_agents) if a != planning_agent
         )
+        n = state.n
+        # (weight, near, cap): cap is the distance at which the term saturates
+        w = params.distance_weight
+        self.shaping = (w, _goal_tables(n, state.goals), distance_cap(n)) if w else None
+        self.pos = [p.row * n + p.col for p in state.agent_pos]
+        self.captured = [1 if c else 0 for c in state.captured]
+        self.goal_at = bytearray(n * n)
+        for g in state.goals:
+            self.goal_at[g.row * n + g.col] = 1
+        self.cap_at = bytearray(n * n)
+        for cell, cap in zip(self.pos, self.captured):
+            if cap:
+                self.cap_at[cell] = 1
+        self.n_captured = sum(self.captured)
+        self.moves, self.steps = _tables(n)
+        self.snapshot = (self.pos[:], self.captured[:], self.cap_at[:], self.n_captured)
+
+    def _reset(self) -> None:
+        pos, captured, cap_at, self.n_captured = self.snapshot
+        self.pos[:] = pos
+        self.captured[:] = captured
+        self.cap_at[:] = cap_at
+
+    def _realize(self, nodes) -> None:
+        """Apply the deltas of `nodes`, in order, to the scratch board.
+
+        Mirrors grid.apply_move: landing on (or staying on) a free goal pins
+        the agent. The engine's only way from tree to board.
+        """
+        pos = self.pos
+        captured = self.captured
+        goal_at = self.goal_at
+        cap_at = self.cap_at
+        n_cap = self.n_captured
+        for nd in nodes:
+            a = nd.agent
+            q = nd.dest
+            if goal_at[q] and not cap_at[q] and not captured[a]:
+                captured[a] = 1
+                cap_at[q] = 1
+                n_cap += 1
+            pos[a] = q
+        self.n_captured = n_cap
+
+    def _grow(self, leaf: SearchNode):
+        """Create all children of `leaf` given the board realized at it.
+
+        One child per legal move of the acting agent, in canonical move
+        order (a captured agent gets the single Stay child). Returns the
+        first child, or None, leaving `leaf` a leaf, if it is terminal:
+        board fully captured or horizon reached.
+        """
+        order = self.order
+        n_agents = len(order)
+        # turn_pos > 0 implies sim_time < t_final: a mid-turn node inherits its
+        # parent's sim_time and only non-terminal nodes get expanded
+        if self.n_captured == n_agents or leaf.sim_time >= self.params.t_final:
+            return None
+        tp = leaf.turn_pos
+        act = order[tp]
+        ntp = tp + 1
+        nst = leaf.sim_time
+        if ntp == n_agents:
+            ntp = 0
+            nst += 1
+        nact = order[ntp]
+        p = self.pos[act]
+        if self.captured[act]:
+            kids = [SearchNode(leaf, act, Move.STAY, p, nact, ntp, nst)]
+        else:
+            cap_at = self.cap_at
+            # the playout's acceptance rule: Stay, or a cell that is not locked
+            kids = [
+                SearchNode(leaf, act, mv, q, nact, ntp, nst)
+                for mv, q in zip(self.moves[p], self.steps[p][0])
+                if q == p or not cap_at[q]
+            ]
+        leaf.children = kids
+        return kids[0]
+
+    def _playout(self, node: SearchNode, rand) -> float:
+        """Random playout from the board realized at `node`; returns the sample.
+
+        Plays the board forward in place and leaves it at the playout's end;
+        the caller resets it. The playout supplies the outcome (captured
+        count and the planner's own-capture mark, both read from its final
+        state) while the depth bonus is anchored to the evaluated node
+        itself: its turn if it sits on a turn boundary, the turn completing
+        around it otherwise. Deep nodes therefore score lower than shallow
+        ones at equal playout outcomes, which is the entire point of the
+        bonus. The distance term, when shaping is on, is read from the
+        evaluated node too, before the playout moves anyone.
+
+        Only live agents draw, so the loop walks a list of them. It is
+        rebuilt after a partial first turn and after any capture.
+        """
+        params = self.params
+        t_final = params.t_final
+        order = self.order
+        n_agents = len(order)
+        pos = self.pos
+        captured = self.captured
+        goal_at = self.goal_at
+        cap_at = self.cap_at
+        steps = self.steps
+        shaping = self.shaping
+        n_cap = self.n_captured
+
+        t = node.sim_time
+        tp = node.turn_pos
+        node_time = t if tp == 0 else t + 1
+        live = n_agents - n_cap
+        if shaping is not None and live:
+            w, near, cap = shaping
+            dist_sum = 0
+            for a in range(n_agents):
+                if captured[a]:
+                    continue
+                d = cap
+                for dg, gcell in near[pos[a]]:
+                    if not cap_at[gcell]:
+                        d = dg  # nearest first, so the first free goal wins
+                        break
+                dist_sum += d
+
+        movers = [a for a in order[tp:] if not captured[a]]
+        stale = tp != 0
+        while t < t_final:
+            for a in movers:
+                p = pos[a]
+                cells, m1 = steps[p]
+                while True:
+                    q = cells[int(rand() * m1)]
+                    if q == p or not cap_at[q]:
+                        break
+                pos[a] = q
+                # q is legal here, so any goal it lands on is free
+                if goal_at[q]:
+                    captured[a] = 1
+                    cap_at[q] = 1
+                    n_cap += 1
+                    stale = True
+            # an agent is captured only by its own draw, so the last live
+            # agent is the last mover of the turn that captures everyone
+            if n_cap == n_agents:
+                break
+            t += 1
+            if stale:
+                movers = [a for a in order if not captured[a]]
+                stale = False
+
+        # same operation order as value_mod + depth_adjusted, so results are
+        # bit-identical to the public value pipeline
+        val = n_cap / n_agents
+        if captured[self.planning_agent]:
+            val -= params.alpha / n_agents
+        val += (1.0 - node_time / t_final) / n_agents
+        if shaping is not None and live:
+            # same operation order as values.distance_adjusted
+            val -= w * dist_sum / (live * cap) / n_agents
+        return val
+
+    def run(self, budget: SearchBudget, rng: Random, debug_check_deltas: bool = False) -> None:
+        """Run budget.iterations search iterations on this tree.
+
+        Each iteration selects a leaf, realizes it on the board, expands
+        it unless it is terminal, rolls out from its first child (or from
+        the terminal leaf), backs the sample up the path and resets the
+        board. select and backpropagate are looked up as module globals
+        at call time, so a tracer that rebinds them sees every step.
+        budget.t_final must equal params.t_final; plan_move checks it.
+        """
+        rule = self.params.update_rule
+        c = budget.exploration_c
+        rand = rng.random
+        for _ in range(budget.iterations):
+            path = select(self, c)
+            leaf = path[-1]
+            self._realize(path[1:])
+            child = self._grow(leaf)
+            if child is not None:
+                leaf = child
+                path.append(leaf)
+                self._realize((leaf,))
+            if debug_check_deltas:
+                _verify_deltas(self, path)
+            backpropagate(path, self._playout(leaf, rand), rule)
+            self._reset()
 
 
 def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> SearchRoot:
-    """Fresh unexpanded root for one plan_move call."""
+    """Fresh unexpanded root, with its search session, for one plan_move call."""
     if not 0 <= planning_agent < state.n_agents:
         raise IndexError(f"planning agent {planning_agent} out of range")
     if params.n_agents != state.n_agents:
@@ -214,76 +399,22 @@ def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> Se
     return SearchRoot(state, planning_agent, params)
 
 
-class _Sim:
-    """Mutable scratch board mirroring one WorldState, flat-indexed.
-
-    The board as built is kept as a snapshot; reset() restores it in
-    place, so the lists keep their identity for callers holding them.
-    """
-
-    __slots__ = ("n_agents", "pos", "captured", "goal_at", "cap_at",
-                 "n_captured", "moves", "steps", "snapshot")
-
-    @classmethod
-    def from_state(cls, state: WorldState) -> "_Sim":
-        sim = cls()
-        n = state.n
-        sim.n_agents = state.n_agents
-        sim.pos = [p.row * n + p.col for p in state.agent_pos]
-        sim.captured = [1 if c else 0 for c in state.captured]
-        sim.goal_at = bytearray(n * n)
-        for g in state.goals:
-            sim.goal_at[g.row * n + g.col] = 1
-        sim.cap_at = bytearray(n * n)
-        for cell, cap in zip(sim.pos, sim.captured):
-            if cap:
-                sim.cap_at[cell] = 1
-        sim.n_captured = sum(sim.captured)
-        sim.moves, sim.steps = _tables(n)
-        sim.snapshot = (sim.pos[:], sim.captured[:], sim.cap_at[:], sim.n_captured)
-        return sim
-
-    def reset(self) -> None:
-        pos, captured, cap_at, self.n_captured = self.snapshot
-        self.pos[:] = pos
-        self.captured[:] = captured
-        self.cap_at[:] = cap_at
-
-
-def _realize(sim: _Sim, nodes) -> None:
-    """Apply the deltas of `nodes`, in order, to the scratch board.
-
-    Mirrors grid.apply_move: landing on (or staying on) a free goal pins
-    the agent. The engine's only way from tree to board.
-    """
-    pos = sim.pos
-    captured = sim.captured
-    goal_at = sim.goal_at
-    cap_at = sim.cap_at
-    n_cap = sim.n_captured
-    for nd in nodes:
-        a = nd.agent
-        q = nd.dest
-        if goal_at[q] and not cap_at[q] and not captured[a]:
-            captured[a] = 1
-            cap_at[q] = 1
-            n_cap += 1
-        pos[a] = q
-    sim.n_captured = n_cap
-
-
-def _replay_sim(node: SearchNode) -> tuple[_Sim, SearchRoot]:
-    """Scratch board realized at `node` by replaying deltas from the root."""
+def _attach(node: SearchNode) -> tuple[SearchRoot, list[SearchNode]]:
+    """The root of `node`'s tree and the path below it down to `node`."""
     chain = []
-    cur = node
-    while cur.parent is not None:
-        chain.append(cur)
-        cur = cur.parent
-    if not isinstance(cur, SearchRoot):
+    while node.parent is not None:
+        chain.append(node)
+        node = node.parent
+    if not isinstance(node, SearchRoot):
         raise ValueError("node is not attached to a tree built by make_root")
-    sim = _Sim.from_state(cur.state)
-    _realize(sim, reversed(chain))
-    return sim, cur
+    return node, chain[::-1]
+
+
+def _check_horizon(budget: SearchBudget, params: ValueParams) -> None:
+    if budget.t_final != params.t_final:
+        raise ValueError(
+            f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
+        )
 
 
 def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> list[SearchNode]:
@@ -317,149 +448,37 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     return path
 
 
-def _expand_on_sim(sim: _Sim, leaf: SearchNode, order) -> SearchNode:
-    """Create all children of `leaf` given the scratch realized at it.
-
-    One child per legal move of the acting agent, in canonical move
-    order (a captured agent gets the single Stay child). Returns the
-    first child.
-    """
-    tp = leaf.turn_pos
-    act = order[tp]
-    ntp = tp + 1
-    nst = leaf.sim_time
-    if ntp == sim.n_agents:
-        ntp = 0
-        nst += 1
-    nact = order[ntp]
-    p = sim.pos[act]
-    if sim.captured[act]:
-        kids = [SearchNode(leaf, act, Move.STAY, p, nact, ntp, nst)]
-    else:
-        cap_at = sim.cap_at
-        # the playout's acceptance rule: Stay, or a cell that is not locked
-        kids = [
-            SearchNode(leaf, act, mv, q, nact, ntp, nst)
-            for mv, q in zip(sim.moves[p], sim.steps[p][0])
-            if q == p or not cap_at[q]
-        ]
-    leaf.children = kids
-    return kids[0]
-
-
 def expand(leaf: SearchNode, planning_agent: int) -> SearchNode:
     """Expand a leaf in place; returns its first child.
 
     Raises if the leaf is already expanded, if the tree was built for a
     different planning agent, or if the leaf is terminal (board fully
-    captured or horizon reached).
+    captured or horizon reached). Runs on the root's board and resets it.
     """
     if leaf.expanded:
         raise ValueError("node is already expanded")
-    sim, root = _replay_sim(leaf)
+    root, chain = _attach(leaf)
     if planning_agent != root.planning_agent:
         raise ValueError(
             f"tree was built for planning agent {root.planning_agent}, got {planning_agent}"
         )
-    # turn_pos > 0 implies sim_time < t_final: a mid-turn node inherits its
-    # parent's sim_time and only non-terminal nodes get expanded
-    if sim.n_captured == sim.n_agents or leaf.sim_time >= root.params.t_final:
+    root._realize(chain)
+    first = root._grow(leaf)
+    root._reset()
+    if first is None:
         raise ValueError("cannot expand a terminal node")
-    return _expand_on_sim(sim, leaf, root.order)
-
-
-def _rollout_core(sim: _Sim, node: SearchNode, root: SearchRoot, rand, shaping=None):
-    """Random playout from the scratch realized at `node`; returns the sample.
-
-    Plays the board forward in place and leaves it at the playout's end;
-    the caller restores or discards it. The playout supplies the outcome
-    (captured count and the planner's own-capture mark, both read from
-    its final state) while the depth bonus is anchored to the evaluated
-    node itself: its turn if it sits on a turn boundary, the turn
-    completing around it otherwise. Deep nodes therefore score lower than
-    shallow ones at equal playout outcomes, which is the entire point of
-    the bonus. `shaping` is None or the (weight, near, cap) triple of
-    _distance_shaping; the distance term is read from the evaluated node
-    too, before the playout moves anyone.
-
-    Only live agents draw, so the loop walks a list of them. It is
-    rebuilt after a partial first turn and after any capture.
-    """
-    params = root.params
-    t_final = params.t_final
-    order = root.order
-    n_agents = sim.n_agents
-    pos = sim.pos
-    captured = sim.captured
-    goal_at = sim.goal_at
-    cap_at = sim.cap_at
-    steps = sim.steps
-    n_cap = sim.n_captured
-
-    t = node.sim_time
-    tp = node.turn_pos
-    node_time = t if tp == 0 else t + 1
-    live = n_agents - n_cap
-    if shaping is not None and live:
-        w, near, cap = shaping
-        dist_sum = 0
-        for a in range(n_agents):
-            if captured[a]:
-                continue
-            d = cap
-            for dg, gcell in near[pos[a]]:
-                if not cap_at[gcell]:
-                    d = dg  # nearest first, so the first free goal wins
-                    break
-            dist_sum += d
-
-    movers = [a for a in order[tp:] if not captured[a]]
-    stale = tp != 0
-    while t < t_final:
-        for a in movers:
-            p = pos[a]
-            cells, m1 = steps[p]
-            while True:
-                q = cells[int(rand() * m1)]
-                if q == p or not cap_at[q]:
-                    break
-            pos[a] = q
-            # q is legal here, so any goal it lands on is free
-            if goal_at[q]:
-                captured[a] = 1
-                cap_at[q] = 1
-                n_cap += 1
-                stale = True
-        # an agent is captured only by its own draw, so the last live
-        # agent is the last mover of the turn that captures everyone
-        if n_cap == n_agents:
-            break
-        t += 1
-        if stale:
-            movers = [a for a in order if not captured[a]]
-            stale = False
-
-    # same operation order as value_mod + depth_adjusted, so results are
-    # bit-identical to the public value pipeline
-    val = n_cap / n_agents
-    if captured[root.planning_agent]:
-        val -= params.alpha / n_agents
-    val += (1.0 - node_time / t_final) / n_agents
-    if shaping is not None and live:
-        # same operation order as values.distance_adjusted
-        val -= w * dist_sum / (live * cap) / n_agents
-    return val
+    return first
 
 
 def rollout(node: SearchNode, budget: SearchBudget, rng: Random) -> float:
-    """Score one random playout from `node`'s state; the tree is untouched."""
-    sim, root = _replay_sim(node)
-    params: ValueParams = root.params
-    if budget.t_final != params.t_final:
-        raise ValueError(
-            f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
-        )
-    return _rollout_core(sim, node, root, rng.random, _distance_shaping(root.state, params))
+    """Score one random playout from `node`'s state on the root's board,
+    then reset the board; the tree is untouched."""
+    root, chain = _attach(node)
+    _check_horizon(budget, root.params)
+    root._realize(chain)
+    value = root._playout(node, rng.random)
+    root._reset()
+    return value
 
 
 def backpropagate(path: list[SearchNode], value: float, rule: UpdateRule) -> None:
@@ -486,23 +505,23 @@ def backpropagate(path: list[SearchNode], value: float, rule: UpdateRule) -> Non
         raise ValueError(f"unknown update rule {rule!r}")
 
 
-def _verify_deltas(root_state: WorldState, path, sim: _Sim) -> None:
-    """Cross-check the scratch board against a pure domain-level replay.
+def _verify_deltas(root: SearchRoot, path) -> None:
+    """Cross-check the session's board against a pure domain-level replay.
 
     Debug aid for the delta bookkeeping: recomputes the leaf state by
     folding each path delta through apply_move and compares every agent
-    position and capture flag against the scratch arrays.
+    position and capture flag against the board realized at the leaf.
     """
-    state = root_state
+    state = root.state
     for nd in path[1:]:
         state = apply_move(state, nd.agent, nd.move)
     n = state.n
     for i, (p, cap) in enumerate(zip(state.agent_pos, state.captured)):
         flat = p.row * n + p.col
-        if sim.pos[i] != flat or bool(sim.captured[i]) != cap:
+        if root.pos[i] != flat or bool(root.captured[i]) != cap:
             raise RuntimeError(
                 f"delta replay mismatch for agent {i}: scratch has cell "
-                f"{sim.pos[i]} captured={bool(sim.captured[i])}, domain replay "
+                f"{root.pos[i]} captured={bool(root.captured[i])}, domain replay "
                 f"has cell {flat} captured={cap}"
             )
 
@@ -545,35 +564,10 @@ def plan_move(
     for benchmarking but priceless when touching the scratch board.
     """
     root = make_root(state, planning_agent, params)
-    if budget.t_final != params.t_final:
-        raise ValueError(
-            f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
-        )
+    _check_horizon(budget, params)
     if state.captured[planning_agent]:
         return Move.STAY
     if is_terminal(state, budget.t_final):
         raise ValueError("cannot plan from a terminal state")
-
-    order = root.order
-    sim = _Sim.from_state(state)
-    n_agents = sim.n_agents
-    t_final = budget.t_final
-    rule = params.update_rule
-    c = budget.exploration_c
-    rand = rng.random
-    shaping = _distance_shaping(state, params)
-
-    for _ in range(budget.iterations):
-        path = select(root, c)
-        leaf = path[-1]
-        _realize(sim, path[1:])
-        if sim.n_captured < n_agents and leaf.sim_time < t_final:
-            leaf = _expand_on_sim(sim, leaf, order)
-            path.append(leaf)
-            _realize(sim, (leaf,))
-        if debug_check_deltas:
-            _verify_deltas(state, path, sim)
-        backpropagate(path, _rollout_core(sim, leaf, root, rand, shaping), rule)
-        sim.reset()
-
+    root.run(budget, rng, debug_check_deltas)
     return best_action(root)

@@ -261,6 +261,30 @@ def test_main_rejects_oracle_check_in_sweep_mode(capsys):
     assert "--oracle-check" in err and "--sweep-t-final" in err
 
 
+def test_main_rejects_fixed_horizon_in_sweep_mode(capsys):
+    # the sweep takes its horizons from its range; --t-final must not be
+    # dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main(["--grid-size", "3", "--agents", "1", "--instances", "1",
+              "--iterations", "5", "--sweep-t-final", "1:2:1", "--t-final", "7"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--t-final" in err and "--sweep-t-final" in err
+
+
+def test_main_fixed_horizon_with_oracle_check_runs(capsys):
+    code = main(["--grid-size", "4", "--agents", "2", "--instances", "1",
+                 "--iterations", "20", "--t-final", "9", "--oracle-check"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    idx = dict(zip(rows[0], range(len(rows[0]))))
+    assert len(rows) == 2
+    assert int(rows[1][idx["t_final"]]) == 9
+    assert rows[1][idx["oracle_solvable"]] == "True"
+    assert int(rows[1][idx["oracle_makespan"]]) <= int(rows[1][idx["makespan"]])
+
+
 def test_main_rejects_negative_horizon(capsys):
     # rejected while parsing like the count flags; 0 stays a valid horizon
     with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,24 @@ def exhaust(node, planning_agent, depth):
     return levels
 
 
+def grow_by_public_steps(root, budget, rng):
+    """The search loop spelled with the public step functions only.
+
+    A terminal leaf shows itself by expand refusing it; the sample is
+    then rolled out from the leaf itself, as in plan_move.
+    """
+    for _ in range(budget.iterations):
+        path = select(root, budget.exploration_c)
+        leaf = path[-1]
+        try:
+            leaf = expand(leaf, root.planning_agent)
+        except ValueError as e:
+            assert "terminal" in str(e), e
+        else:
+            path.append(leaf)
+        backpropagate(path, rollout(leaf, budget, rng), root.params.update_rule)
+
+
 # ------------------------------------------------------------ SearchBudget
 
 
@@ -487,18 +505,11 @@ def test_root_visits_equal_iteration_budget():
     p = params_for(s, 15)
     budget = SearchBudget(137, 15)
     root = make_root(s, 0, p)
-    rng = Random(11)
-    import gridmcts.mcts as M
-
-    for _ in range(budget.iterations):
-        path = select(root, budget.exploration_c)
-        leaf = path[-1]
-        sim, _ = M._replay_sim(leaf)
-        if not (sim.n_captured == sim.n_agents or leaf.sim_time >= p.t_final):
-            leaf = expand(leaf, 0)
-            path.append(leaf)
-        backpropagate(path, rollout(leaf, budget, rng), p.update_rule)
+    root.run(budget, Random(11))
     assert root.visits == budget.iterations
+    public = make_root(s, 0, p)
+    grow_by_public_steps(public, budget, Random(11))
+    assert public.visits == budget.iterations
 
 
 # ------------------------------------------------- engine <-> reference
@@ -536,8 +547,6 @@ def test_plan_move_matches_full_copy_reference():
 
 
 def test_full_tree_statistics_match_reference():
-    import gridmcts.mcts as M
-
     meta = Random(777)
     checked = 0
     while checked < 12:
@@ -546,17 +555,15 @@ def test_full_tree_statistics_match_reference():
         if s.captured[agent] or all(s.captured):
             continue
         seed = meta.randrange(2**60)
-        root = make_root(s, agent, p)
-        rng = Random(seed)
-        for _ in range(b.iterations):
-            path = select(root, b.exploration_c)
-            leaf = path[-1]
-            sim, _ = M._replay_sim(leaf)
-            if not (sim.n_captured == sim.n_agents or leaf.sim_time >= p.t_final):
-                leaf = expand(leaf, agent)
-                path.append(leaf)
-            backpropagate(path, rollout(leaf, b, rng), p.update_rule)
         ref = ref_plan_tree(s, agent, b, p, Random(seed))
+        # the session's own iterations: the code plan_move runs
+        root = make_root(s, agent, p)
+        root.run(b, Random(seed))
+        diffs = compare_trees(ref.root, root)
+        assert not diffs, diffs[:4]
+        # the public step functions build the same tree
+        root = make_root(s, agent, p)
+        grow_by_public_steps(root, b, Random(seed))
         diffs = compare_trees(ref.root, root)
         assert not diffs, diffs[:4]
         checked += 1
@@ -692,8 +699,6 @@ def test_shaped_plan_move_matches_full_copy_reference():
 
 
 def test_shaped_full_tree_statistics_match_reference():
-    import gridmcts.mcts as M
-
     meta = Random(778)
     checked = 0
     while checked < 12:
@@ -703,17 +708,15 @@ def test_shaped_full_tree_statistics_match_reference():
             continue
         p = _with_weight(p, meta)
         seed = meta.randrange(2**60)
-        root = make_root(s, agent, p)
-        rng = Random(seed)
-        for _ in range(b.iterations):
-            path = select(root, b.exploration_c)
-            leaf = path[-1]
-            sim, _ = M._replay_sim(leaf)
-            if not (sim.n_captured == sim.n_agents or leaf.sim_time >= p.t_final):
-                leaf = expand(leaf, agent)
-                path.append(leaf)
-            backpropagate(path, rollout(leaf, b, rng), p.update_rule)
         ref = ref_plan_tree(s, agent, b, p, Random(seed))
+        # the session's own iterations: the code plan_move runs
+        root = make_root(s, agent, p)
+        root.run(b, Random(seed))
+        diffs = compare_trees(ref.root, root)
+        assert not diffs, diffs[:4]
+        # the public step functions build the same tree
+        root = make_root(s, agent, p)
+        grow_by_public_steps(root, b, Random(seed))
         diffs = compare_trees(ref.root, root)
         assert not diffs, diffs[:4]
         checked += 1
@@ -758,42 +761,93 @@ def test_plan_move_matches_reference_with_agents_captured_at_root():
                 ref_plan_move(s, agent, b, pw, Random(seed))
 
 
-def test_tree_statistics_match_reference_with_agents_captured_at_root(monkeypatch):
-    import gridmcts.mcts as M
-
-    # plan_move builds its tree on the scratch board and hands only the
-    # root to best_action; keep that root to compare the engine's own tree
-    roots = []
-    real_best_action = M.best_action
-
-    def keep_root(root):
-        roots.append(root)
-        return real_best_action(root)
-
-    monkeypatch.setattr(M, "best_action", keep_root)
+def test_tree_statistics_match_reference_with_agents_captured_at_root():
     meta = Random(9002)
     for _ in range(12):
         s, p, b, agent = _captured_scenario(meta)
         seed = meta.randrange(2**60)
         for w in (0.0, 0.5):
             pw = dataclasses.replace(p, distance_weight=w)
-            plan_move(s, agent, b, pw, Random(seed))
             ref = ref_plan_tree(s, agent, b, pw, Random(seed))
-            diffs = compare_trees(ref.root, roots.pop())
+            # the session's own iterations: the code plan_move runs
+            root = make_root(s, agent, pw)
+            root.run(b, Random(seed))
+            diffs = compare_trees(ref.root, root)
             assert not diffs, diffs[:4]
             # the public step functions build the same tree
             root = make_root(s, agent, pw)
-            rng = Random(seed)
-            for _ in range(b.iterations):
-                path = select(root, b.exploration_c)
-                leaf = path[-1]
-                sim, _ = M._replay_sim(leaf)
-                if not (sim.n_captured == sim.n_agents or leaf.sim_time >= pw.t_final):
-                    leaf = expand(leaf, agent)
-                    path.append(leaf)
-                backpropagate(path, rollout(leaf, b, rng), pw.update_rule)
+            grow_by_public_steps(root, b, Random(seed))
             diffs = compare_trees(ref.root, root)
             assert not diffs, diffs[:4]
+
+
+def test_public_steps_leave_the_session_board_clean():
+    # expand and rollout realize nodes on the root's own board, the one
+    # the session's iterations run on; a board either left dirty would
+    # change every later iteration and so the tree
+    meta = Random(9003)
+    rejected = 0
+    for _ in range(12):
+        s, p, b, agent = _captured_scenario(meta)
+        # one or two turns left, so terminal leaves lie inside the tree
+        s = dataclasses.replace(s, t=p.t_final - meta.choice([1, 2]))
+        p = dataclasses.replace(p, distance_weight=meta.choice([0.0, 0.5]))
+        b = SearchBudget(48, p.t_final, b.exploration_c)
+        seed = meta.randrange(2**60)
+        root = make_root(s, agent, p)
+        rng, side = Random(seed), Random(seed + 1)
+        one = SearchBudget(1, b.t_final, b.exploration_c)
+        for _ in range(b.iterations):
+            root.run(one, rng)
+            node = root
+            while node.children and side.random() < 0.85:
+                node = side.choice(node.children)
+            rollout(node, b, side)
+            # the session expands every leaf it selects unless it is
+            # terminal, so a leaf visited twice is terminal
+            if node.children is None and node.visits >= 2:
+                with pytest.raises(ValueError, match="terminal"):
+                    expand(node, agent)
+                rejected += 1
+        diffs = compare_trees(ref_plan_tree(s, agent, b, p, Random(seed)).root, root)
+        assert not diffs, diffs[:4]
+    assert rejected > 0
+
+
+def test_plan_move_looks_up_traced_names_at_call_time(monkeypatch):
+    # perfbench/tracing.py records its spans by rebinding these module
+    # globals; a search that bound them early would record nothing
+    import gridmcts.mcts as M
+
+    s = mk(5, [(0, 0), (3, 1), (2, 4)], [(4, 4), (1, 3), (0, 2)])
+    p = dataclasses.replace(params_for(s, 15), distance_weight=0.5)
+    b = SearchBudget(137, 15)
+    want = plan_move(s, 0, b, p, Random(11))
+    calls = {"select": 0, "backpropagate": 0}
+
+    def counted(name):
+        real = getattr(M, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    targets = []
+    real_sweep = M.goal_walled_distances
+
+    def sweep(n, goals, target):
+        targets.append(target)
+        return real_sweep(n, goals, target)
+
+    for name in calls:
+        monkeypatch.setattr(M, name, counted(name))
+    monkeypatch.setattr(M, "goal_walled_distances", sweep)
+    M._goal_tables.cache_clear()
+    assert plan_move(s, 0, b, p, Random(11)) is want
+    assert calls == {"select": b.iterations, "backpropagate": b.iterations}
+    assert sorted(targets) == sorted(s.goals)
 
 
 # ------------------------------------------------------ goal table memo
