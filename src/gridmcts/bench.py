@@ -23,7 +23,7 @@ import math
 import multiprocessing
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coordinator import EpisodeConfig, run_episode
 from .grid import GridConfig
@@ -37,27 +37,6 @@ from .values import UpdateRule, ValueParams
 # only nonzero weight tried; held-out master seeds 1-4 confirmed it
 # against weight 0 (CHANGES.md)
 DEFAULT_DISTANCE_WEIGHT = 0.5
-
-CSV_FIELDS = (
-    "instance",
-    "n",
-    "n_agents",
-    "instance_index",
-    "repeat",
-    "episode_seed",
-    "iterations",
-    "t_final",
-    "alpha",
-    "update_rule",
-    "exploration_c",
-    "success_rate",
-    "makespan",
-    "total_time_s",
-    "avg_agent_time_s",
-    "max_agent_time_s",
-    "oracle_solvable",
-    "oracle_makespan",
-)
 
 
 @dataclass(frozen=True)
@@ -89,6 +68,10 @@ class RunRecord:
             v = getattr(self, name)
             out.append("" if v is None else str(v))
         return out
+
+
+# the CSV columns, in field order: the external contract of the CSV output
+CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -347,6 +330,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     rule = UpdateRule(args.update)
+    # opened before any episode runs, so a bad path costs no search time
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as e:
+        parser.error(f"argument --out: cannot open {args.out!r}: {e.strerror}")
     started = time.perf_counter()
     try:
         if args.sweep_t_final is not None:
@@ -357,11 +345,7 @@ def main(argv=None) -> int:
                 update_rule=rule, exploration_c=args.exploration_c,
                 master_seed=args.seed, workers=args.workers,
             )
-            if args.out:
-                with open(args.out, "w", newline="") as f:
-                    _write_sweep_csv(points, f)
-            else:
-                _write_sweep_csv(points, sys.stdout)
+            _write_sweep_csv(points, out)
             for pt in points:
                 print(
                     f"t_final={pt.t_final}: mean_sr={pt.mean_success_rate:.3f} "
@@ -377,11 +361,7 @@ def main(argv=None) -> int:
                 exploration_c=args.exploration_c, master_seed=args.seed,
                 workers=args.workers, oracle_check=args.oracle_check,
             )
-            if args.out:
-                with open(args.out, "w", newline="") as f:
-                    _write_records_csv(records, f)
-            else:
-                _write_records_csv(records, sys.stdout)
+            _write_records_csv(records, out)
             print(
                 f"{args.grid_size}x{args.grid_size}/{args.agents}: "
                 f"{_summarize(records)}",
@@ -390,6 +370,9 @@ def main(argv=None) -> int:
     except Exception as e:  # noqa: BLE001 - CLI boundary, report and fail
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if out is not sys.stdout:
+            out.close()
     print(f"done in {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return 0
 

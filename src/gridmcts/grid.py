@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -47,6 +48,36 @@ def move_dest(pos: Position, move: Move) -> Position:
 
 def manhattan(a: Position, b: Position) -> int:
     return abs(a.row - b.row) + abs(a.col - b.col)
+
+
+@lru_cache(maxsize=None)
+def cell_tables(n: int):
+    """Per-cell moves and destinations, flat-indexed (r * n + c); cached
+    per grid size.
+
+    moves[cell] lists the in-bounds cardinal Moves in canonical order,
+    then Stay. steps[cell] is (cells, m + 1): the matching destination
+    cells, `cell` itself last for Stay, and m + 1 for the playout draw.
+    A destination equals `cell` exactly when the move is Stay. Locked
+    goals are not filtered out; callers skip them.
+    """
+    moves = []
+    steps = []
+    for cell in range(n * n):
+        r, c = divmod(cell, n)
+        mm = []
+        dd = []
+        for mv, ok, q in zip(
+            CARDINAL_MOVES,
+            (r > 0, r < n - 1, c > 0, c < n - 1),
+            (cell - n, cell + n, cell - 1, cell + 1),
+        ):
+            if ok:
+                mm.append(mv)
+                dd.append(q)
+        moves.append(tuple(mm) + (Move.STAY,))
+        steps.append((tuple(dd) + (cell,), len(dd) + 1))
+    return tuple(moves), tuple(steps)
 
 
 @dataclass(frozen=True)

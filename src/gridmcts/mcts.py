@@ -45,44 +45,16 @@ from functools import lru_cache
 from random import Random
 
 from .grid import (
-    CARDINAL_MOVES,
     Move,
     WorldState,
     apply_move,
+    cell_tables,
     goal_walled_distances,
     is_terminal,
 )
 from .values import NodeStats, UpdateRule, ValueParams, distance_cap
 
 DEFAULT_EXPLORATION_C = math.sqrt(2)
-
-
-@lru_cache(maxsize=None)
-def _tables(n: int):
-    """Per-cell moves and destinations, flat-indexed; cached per grid size.
-
-    moves[cell] lists the in-bounds cardinal Moves in canonical order,
-    then Stay. steps[cell] is (cells, m + 1): the matching destination
-    cells, `cell` itself last for Stay, and m + 1 for the playout draw.
-    A destination equals `cell` exactly when the move is Stay.
-    """
-    moves = []
-    steps = []
-    for cell in range(n * n):
-        r, c = divmod(cell, n)
-        mm = []
-        dd = []
-        for mv, ok, q in zip(
-            CARDINAL_MOVES,
-            (r > 0, r < n - 1, c > 0, c < n - 1),
-            (cell - n, cell + n, cell - 1, cell + 1),
-        ):
-            if ok:
-                mm.append(mv)
-                dd.append(q)
-        moves.append(tuple(mm) + (Move.STAY,))
-        steps.append((tuple(dd) + (cell,), len(dd) + 1))
-    return tuple(moves), tuple(steps)
 
 
 @lru_cache(maxsize=1)
@@ -212,7 +184,7 @@ class SearchRoot(SearchNode):
             if cap:
                 self.cap_at[cell] = 1
         self.n_captured = sum(self.captured)
-        self.moves, self.steps = _tables(n)
+        self.moves, self.steps = cell_tables(n)
         self.snapshot = (self.pos[:], self.captured[:], self.cap_at[:], self.n_captured)
 
     def _reset(self) -> None:

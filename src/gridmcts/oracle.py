@@ -15,18 +15,23 @@ a free goal captures. Any such joint move is realizable by the merge
 rule and vice versa, so the optimal makespan found here is the true
 optimum of the executed system.
 
-``certify_unsolvable`` answers a coarser question at any board size and
-any horizon: it proves an instance unsolvable from reachability alone.
+Two bounds answer coarser questions at any board size and any horizon,
+both with one augmenting-path matcher over agents and goals.
+``certify_unsolvable`` proves an instance unsolvable from reachability
+alone; ``assignment_lower_bound`` is the bottleneck assignment, the
+smallest Manhattan distance at which every goal can be given its own
+agent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .grid import (
     CARDINAL_MOVES,
     Move,
     Position,
+    cell_tables,
     goal_walled_distances,
     manhattan,
     move_dest,
@@ -50,6 +55,18 @@ class OracleResult:
     solvable_within: bool
     optimal_makespan: int | None
     witness_plan: tuple[tuple[Move, ...], ...] | None
+
+
+def _check_tractable(instance: Instance, t_final: int) -> None:
+    """Reject boards and populations beyond the exact searches' reach."""
+    n, na = instance.grid.n, instance.grid.n_agents
+    if n > _MAX_N or na > _MAX_AGENTS:
+        raise ValueError(
+            f"joint search handles up to {_MAX_N}x{_MAX_N} and {_MAX_AGENTS} agents, "
+            f"got {n}x{n} with {na}"
+        )
+    if t_final < 0:
+        raise ValueError(f"t_final must be non-negative, got {t_final}")
 
 
 def _flatten(instance: Instance):
@@ -92,23 +109,6 @@ def _joint_successors(n, goals, pos, cap):
         yield moves, dests, new_cap
 
 
-def _cell_steps(n):
-    """Per flat cell, its (Move, dest cell) options: in-bounds cardinal
-    steps in Move order, then Stay, the order _joint_successors uses."""
-    steps = []
-    for r in range(n):
-        for c in range(n):
-            here = Position(r, c)
-            opts = []
-            for m in CARDINAL_MOVES:
-                q = move_dest(here, m)
-                if 0 <= q.row < n and 0 <= q.col < n:
-                    opts.append((m, q.row * n + q.col))
-            opts.append((Move.STAY, r * n + c))
-            steps.append(tuple(opts))
-    return steps
-
-
 def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     """Breadth-first search over joint states; exact and minimal.
 
@@ -128,27 +128,21 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     combinations in the order itertools.product gives over the
     per-agent options, the order _joint_successors uses, so states are
     discovered in the same order and the witness is the same one. Its
-    moves are read back from consecutive cells of the parent chain.
+    moves are read back from consecutive cells of the parent chain. The
+    per-cell options come from grid.cell_tables, the table the tree
+    search draws from too.
     Levels are expanded up to depth t_final.
 
     Only boards up to 5x5 with at most 3 agents are accepted, the state
     space beyond that is no longer desk-sized.
     """
+    _check_tractable(instance, t_final)
     n, na = instance.grid.n, instance.grid.n_agents
-    if n > _MAX_N or na > _MAX_AGENTS:
-        raise ValueError(
-            f"joint search handles up to {_MAX_N}x{_MAX_N} and {_MAX_AGENTS} agents, "
-            f"got {n}x{n} with {na}"
-        )
-    if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
     starts, goals, cap0 = _flatten(instance)
     if all(cap0):
         return OracleResult(True, 0, _per_agent([], na))
 
-    steps = _cell_steps(n)
-    dests_of = [tuple(q for _, q in opts) for opts in steps]
-    move_of = {(c, q): m for c, opts in enumerate(steps) for m, q in opts}
+    moves, steps = cell_tables(n)
     is_goal = bytearray(n * n)
     for g in goals:
         is_goal[g.row * n + g.col] = 1
@@ -162,7 +156,7 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
         for cells, mask in frontier:
             partial = [()]
             for cell, b in zip(cells, bits):
-                opts = (cell,) if mask & b else dests_of[cell]
+                opts = (cell,) if mask & b else steps[cell][0]
                 partial = [d + (q,) for d in partial for q in opts if q not in d]
             for dests in partial:
                 if dests in parent:
@@ -177,7 +171,9 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
                     chain = []
                     while parent[dests] is not None:
                         prev = parent[dests]
-                        chain.append(tuple(move_of[a, q] for a, q in zip(prev, dests)))
+                        chain.append(tuple(
+                            moves[a][steps[a][0].index(q)] for a, q in zip(prev, dests)
+                        ))
                         dests = prev
                     chain.reverse()
                     return OracleResult(True, depth + 1, _per_agent(chain, na))
@@ -209,14 +205,8 @@ def iterative_deepening_search(instance: Instance, t_final: int) -> OracleResult
     solution) and remembers states that failed with at least as many
     turns left. The first limit that succeeds is the optimal makespan.
     """
+    _check_tractable(instance, t_final)
     n, na = instance.grid.n, instance.grid.n_agents
-    if n > _MAX_N or na > _MAX_AGENTS:
-        raise ValueError(
-            f"joint search handles up to {_MAX_N}x{_MAX_N} and {_MAX_AGENTS} agents, "
-            f"got {n}x{n} with {na}"
-        )
-    if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
     starts, goals, cap0 = _flatten(instance)
     if all(cap0):
         return OracleResult(True, 0, _per_agent([], na))
@@ -245,6 +235,31 @@ def iterative_deepening_search(instance: Instance, t_final: int) -> OracleResult
     return OracleResult(False, None, None)
 
 
+def _unmatched(reach) -> list[int]:
+    """Goals a maximum matching leaves unmatched, as indices into `reach`.
+
+    reach[j] lists the agents that may take goal j. Kuhn's augmenting
+    path search, goals tried in index order: a goal that fails to
+    augment stays unmatched in every later augmentation too, so the
+    failures are exactly the unmatched goals. Goals no agent reaches
+    are always among them; beyond those, which goals stay unmatched
+    depends on the order, but their number does not.
+    """
+    owner: dict[int, int] = {}
+
+    def augment(j, seen) -> bool:
+        for i in reach[j]:
+            if i in seen:
+                continue
+            seen.add(i)
+            if i not in owner or augment(owner[i], seen):
+                owner[i] = j
+                return True
+        return False
+
+    return [j for j in range(len(reach)) if not augment(j, set())]
+
+
 def certify_unsolvable(instance: Instance) -> tuple[Position, ...]:
     """Free goals that no plan can get captured, at any horizon.
 
@@ -255,49 +270,33 @@ def certify_unsolvable(instance: Instance) -> tuple[Position, ...]:
     reachability and returns the goals a maximum matching leaves
     unmatched, in sorted order. A non-empty result certifies that the
     instance can never be fully solved. An empty one proves nothing:
-    agents can still block each other. Goals no agent reaches are
-    always in the result; beyond those, which goals stay unmatched
-    depends on the matching, but their number does not.
+    agents can still block each other.
     """
     n = instance.grid.n
     starts, goals, cap0 = _flatten(instance)
     live = [p for p, c in zip(starts, cap0) if not c]
     free = sorted(goals - set(starts))
-    reach = {}
+    reach = []
     for g in free:
         dist = goal_walled_distances(n, goals, g)
-        reach[g] = [i for i, p in enumerate(live) if p in dist]
-    owner: dict[int, Position] = {}
-
-    def augment(g, seen) -> bool:
-        # Kuhn's augmenting path search; a goal that fails here stays
-        # unmatched in every later augmentation too
-        for i in reach[g]:
-            if i in seen:
-                continue
-            seen.add(i)
-            if i not in owner or augment(owner[i], seen):
-                owner[i] = g
-                return True
-        return False
-
-    return tuple(g for g in free if not augment(g, set()))
+        reach.append([i for i, p in enumerate(live) if p in dist])
+    return tuple(free[j] for j in _unmatched(reach))
 
 
 def assignment_lower_bound(instance: Instance) -> int:
     """Best-case makespan ignoring every interaction between agents.
 
     Minimum over goal assignments of the longest straight-line walk any
-    agent would need. Real episodes add collision detours and search
-    noise on top, so no run can beat this number.
+    agent would need: the bottleneck assignment, found as the smallest
+    Manhattan distance at which agents can be matched to goals one to
+    one. Real episodes add collision detours and search noise on top,
+    so no run can beat this number.
     """
-    na = instance.grid.n_agents
-    if na > 8:
-        raise ValueError(f"assignment bound enumerates up to 8 agents, got {na}")
     starts, goals, _ = _flatten(instance)
-    best = None
-    for perm in permutations(sorted(goals)):
-        worst = max(manhattan(s, g) for s, g in zip(starts, perm))
-        if best is None or worst < best:
-            best = worst
-    return best
+    dist = [[manhattan(s, g) for s in starts] for g in goals]
+    # ascending thresholds; the largest admits every pair, so the loop
+    # always breaks
+    for t in sorted({d for row in dist for d in row}):
+        if not _unmatched([[i for i, d in enumerate(row) if d <= t] for row in dist]):
+            break
+    return t

@@ -18,7 +18,9 @@ breadth-first search over Position tuples and capture flags that
 gridmcts.oracle.exact_joint_search replaced with flat cells and a
 bitmask. It expands through oracle._joint_successors, the
 itertools.product enumeration the oracle's own docstring says its
-order equals.
+order equals. ref_assignment_lower_bound is the bound's original form,
+a loop over every goal permutation, where the oracle now runs a
+bottleneck matching.
 
 Slow on purpose. Keep grids small when driving it.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import permutations
 from random import Random
 
 from gridmcts.grid import (
@@ -35,6 +38,7 @@ from gridmcts.grid import (
     apply_move,
     is_terminal,
     legal_moves,
+    manhattan,
     move_dest,
 )
 from gridmcts.mcts import SearchBudget
@@ -344,3 +348,17 @@ def ref_exact_joint_search(instance, t_final: int) -> OracleResult:
                 return OracleResult(True, depth + 1, _per_agent(chain, na))
             frontier.append((key, depth + 1))
     return OracleResult(False, None, None)
+
+
+def ref_assignment_lower_bound(instance) -> int:
+    """Minimum over goal permutations of the longest Manhattan walk."""
+    na = instance.grid.n_agents
+    if na > 8:
+        raise ValueError(f"assignment bound enumerates up to 8 agents, got {na}")
+    starts, goals, _ = _flatten(instance)
+    best = None
+    for perm in permutations(sorted(goals)):
+        worst = max(manhattan(s, g) for s, g in zip(starts, perm))
+        if best is None or worst < best:
+            best = worst
+    return best

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gridmcts import bench
 from gridmcts.bench import (
     CSV_FIELDS,
     RunRecord,
@@ -163,6 +164,24 @@ def test_main_writes_csv(tmp_path, capsys):
     assert rows[0] == list(CSV_FIELDS)
     assert len(rows) == 3
     assert "mean_sr" in capsys.readouterr().err
+
+
+def test_main_rejects_unwritable_out_before_running(tmp_path, monkeypatch, capsys):
+    # a bad path must fail at once, not after every episode has run
+    def no_run(*args, **kwargs):
+        raise AssertionError("episodes ran before --out was opened")
+
+    monkeypatch.setattr(bench, "run_full_accuracy", no_run)
+    monkeypatch.setattr(bench, "run_time_accuracy_sweep", no_run)
+    bad = str(tmp_path / "missing" / "x.csv")
+    for extra in ([], ["--sweep-t-final", "3:6:3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--grid-size", "8", "--agents", "4", "--instances", "2",
+                  "--out", bad] + extra)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --out" in err
 
 
 def test_main_stdout_csv(capsys):

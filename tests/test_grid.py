@@ -10,6 +10,7 @@ from gridmcts.grid import (
     Position,
     WorldState,
     apply_move,
+    cell_tables,
     goal_walled_distances,
     initial_state,
     is_terminal,
@@ -182,6 +183,26 @@ def test_legal_moves_canonical_order_and_stay(s):
         ms = legal_moves(s, a)
         assert ms[-1] is Move.STAY or ms == (Move.STAY,)
         assert list(ms) == sorted(ms)
+
+
+# ------------------------------------------------------------ cell_tables
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cell_tables_match_the_public_moves(n):
+    # the per-cell table the tree search and the exact oracle step from
+    moves, steps = cell_tables(n)
+    assert len(moves) == len(steps) == n * n
+    for cell in range(n * n):
+        here = Position(*divmod(cell, n))
+        # a lone live agent: its free goal elsewhere locks nothing
+        goal = Position(*divmod((cell + 1) % (n * n), n))
+        assert moves[cell] == legal_moves(make_state(n, [here], [goal]), 0)
+        dests = tuple(
+            q.row * n + q.col for q in (move_dest(here, m) for m in moves[cell])
+        )
+        assert dests[-1] == cell
+        assert steps[cell] == (dests, len(dests))
 
 
 # ------------------------------------------------------------- apply_move

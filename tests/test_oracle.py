@@ -25,7 +25,7 @@ from gridmcts.oracle import (
     iterative_deepening_search,
 )
 from gridmcts.scenarios import Instance, generate_instance
-from reference import ref_exact_joint_search
+from reference import ref_assignment_lower_bound, ref_exact_joint_search
 
 
 def inst(n, starts, goals, name=None):
@@ -207,9 +207,26 @@ def test_bound_never_exceeds_exact_optimum():
     assert solvable > 400  # the comparison actually exercised
 
 
-def test_bound_rejects_oversized_population():
-    with pytest.raises(ValueError):
-        assignment_lower_bound(generate_instance(9, 9, 0, 3))
+def test_bound_matches_permutation_twin():
+    rng = Random(4242)
+    for k in range(1000):
+        n = rng.randint(3, 10)
+        na = rng.randint(1, min(7, n * n // 2))
+        i = generate_instance(n, na, k, 613)
+        assert assignment_lower_bound(i) == ref_assignment_lower_bound(i), i.name
+
+
+def test_bound_scales_past_the_permutation_limit():
+    # ten agents on row 0, each with its goal five rows straight below
+    i = inst(10, [(0, c) for c in range(10)], [(5, c) for c in range(10)])
+    assert assignment_lower_bound(i) == 5
+    # every agent needs some goal and every goal some agent, so neither
+    # nearest distance can exceed the bottleneck
+    for k in range(3):
+        i = generate_instance(20, 20, k, 0)
+        bound = assignment_lower_bound(i)
+        assert bound >= max(min(manhattan(s, g) for g in i.goals) for s in i.starts)
+        assert bound >= max(min(manhattan(s, g) for s in i.starts) for g in i.goals)
 
 
 # ------------------------------------------------------ certify_unsolvable
