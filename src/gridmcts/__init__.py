@@ -58,7 +58,6 @@ from .scenarios import (
     instance_name,
     parse_instance_name,
     read_instance,
-    search_space_exponent,
     write_instance,
 )
 

@@ -265,6 +265,14 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(0, text)
 
 
+def _exploration_c(text: str) -> float:
+    # SearchBudget owns the rule; checked here so a bad value fails before any run
+    try:
+        return SearchBudget(1, 0, float(text)).exploration_c
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _parse_sweep(spec: str):
     try:
         a, b, step = (int(x) for x in spec.split(":"))
@@ -298,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="self-capture penalty weight (default 0.0)")
     p.add_argument("--update", choices=["mean", "max"], default="mean",
                    help="node value update rule (default mean)")
-    p.add_argument("--exploration-c", type=float, default=DEFAULT_EXPLORATION_C,
+    p.add_argument("--exploration-c", type=_exploration_c, default=DEFAULT_EXPLORATION_C,
                    help="UCT exploration constant (default sqrt(2))")
     p.add_argument("--repeats", type=_positive_int, default=1,
                    help="episodes per instance (default 1)")

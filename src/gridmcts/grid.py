@@ -82,25 +82,17 @@ def cell_tables(n: int):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Board size and population. Goals always equal agents in count;
-    passing a different n_goals is rejected, not silently fixed."""
+    """Board size and population. Every agent has exactly one goal, so
+    goals equal agents in count and need no field of their own."""
 
     n: int
     n_agents: int
-    n_goals: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"grid size must be at least 2, got {self.n}")
         if self.n_agents < 1:
             raise ValueError(f"need at least one agent, got {self.n_agents}")
-        if self.n_goals is None:
-            object.__setattr__(self, "n_goals", self.n_agents)
-        elif self.n_goals != self.n_agents:
-            raise ValueError(
-                f"goals must match agents one to one, got {self.n_goals} "
-                f"goals for {self.n_agents} agents"
-            )
         if 2 * self.n_agents > self.n * self.n:
             raise ValueError(
                 f"{self.n_agents} agents need {2 * self.n_agents} distinct "

@@ -3,7 +3,9 @@
 Each agent plans its own next move by building a search tree rooted at
 the current world state. Tree levels interleave all agents in a fixed
 turn order, the planning agent first and the rest by ascending id, so
-one simulated time step spans n_agents consecutive tree levels. The
+one simulated time step spans n_agents consecutive tree levels: a node
+at depth d acts at turn position d % n_agents of turn t + d // n_agents,
+where t is the root state's clock. Nodes store no clock of their own. The
 searcher models everyone but only the root move of the planning agent is
 ever executed; the coordinator merges the independently chosen moves.
 
@@ -100,34 +102,17 @@ class SearchNode:
     The node's delta is (agent, move): applying that single-agent move to
     the parent's state yields this node's state; dest is the flat cell
     the move lands on. The root is a SearchRoot, which has no delta.
-
-    turn_pos indexes the turn order; acting_agent == order[turn_pos] is
-    the agent whose alternatives this node's children enumerate. sim_time
-    counts whole simulated turns and increments exactly when turn_pos
-    wraps to 0.
+    Whose turn it is at a node, and the simulated time, follow from the
+    node's depth (see the module docstring), so they are not stored.
     """
 
-    __slots__ = (
-        "parent",
-        "agent",
-        "move",
-        "dest",
-        "acting_agent",
-        "turn_pos",
-        "sim_time",
-        "value",
-        "visits",
-        "children",
-    )
+    __slots__ = ("parent", "agent", "move", "dest", "value", "visits", "children")
 
-    def __init__(self, parent, agent, move, dest, acting_agent, turn_pos, sim_time):
+    def __init__(self, parent, agent, move, dest):
         self.parent = parent
         self.agent = agent
         self.move = move
         self.dest = dest
-        self.acting_agent = acting_agent
-        self.turn_pos = turn_pos
-        self.sim_time = sim_time
         self.value = 0.0
         self.visits = 0
         self.children = None
@@ -142,10 +127,7 @@ class SearchNode:
 
     def __repr__(self) -> str:  # debugging aid only
         mv = self.move.name if self.move is not None else "ROOT"
-        return (
-            f"SearchNode({mv} by {self.agent}, t={self.sim_time}.{self.turn_pos}, "
-            f"value={self.value:.4f}, visits={self.visits})"
-        )
+        return f"SearchNode({mv} by {self.agent}, value={self.value:.4f}, visits={self.visits})"
 
 
 class SearchRoot(SearchNode):
@@ -163,7 +145,7 @@ class SearchRoot(SearchNode):
                  "moves", "steps", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
-        super().__init__(None, None, None, None, planning_agent, 0, state.t)
+        super().__init__(None, None, None, None)
         self.state = state
         self.planning_agent = planning_agent
         self.params = params
@@ -214,8 +196,9 @@ class SearchRoot(SearchNode):
             pos[a] = q
         self.n_captured = n_cap
 
-    def _grow(self, leaf: SearchNode):
-        """Create all children of `leaf` given the board realized at it.
+    def _grow(self, leaf: SearchNode, depth: int):
+        """Create all children of `leaf`, `depth` levels below the root,
+        given the board realized at it.
 
         One child per legal move of the acting agent, in canonical move
         order (a captured agent gets the single Stay child). Returns the
@@ -223,35 +206,30 @@ class SearchRoot(SearchNode):
         board fully captured or horizon reached.
         """
         order = self.order
-        n_agents = len(order)
-        # turn_pos > 0 implies sim_time < t_final: a mid-turn node inherits its
-        # parent's sim_time and only non-terminal nodes get expanded
-        if self.n_captured == n_agents or leaf.sim_time >= self.params.t_final:
+        turns, tp = divmod(depth, len(order))
+        # tp > 0 implies the horizon is not reached: a mid-turn node shares
+        # its turn with the node above it, and only non-terminal nodes get
+        # expanded
+        if self.n_captured == len(order) or self.state.t + turns >= self.params.t_final:
             return None
-        tp = leaf.turn_pos
         act = order[tp]
-        ntp = tp + 1
-        nst = leaf.sim_time
-        if ntp == n_agents:
-            ntp = 0
-            nst += 1
-        nact = order[ntp]
         p = self.pos[act]
         if self.captured[act]:
-            kids = [SearchNode(leaf, act, Move.STAY, p, nact, ntp, nst)]
+            kids = [SearchNode(leaf, act, Move.STAY, p)]
         else:
             cap_at = self.cap_at
             # the playout's acceptance rule: Stay, or a cell that is not locked
             kids = [
-                SearchNode(leaf, act, mv, q, nact, ntp, nst)
+                SearchNode(leaf, act, mv, q)
                 for mv, q in zip(self.moves[p], self.steps[p][0])
                 if q == p or not cap_at[q]
             ]
         leaf.children = kids
         return kids[0]
 
-    def _playout(self, node: SearchNode, rand) -> float:
-        """Random playout from the board realized at `node`; returns the sample.
+    def _playout(self, depth: int, rand) -> float:
+        """Random playout from the board realized at the node at `depth`;
+        returns the sample.
 
         Plays the board forward in place and leaves it at the playout's end;
         the caller resets it. The playout supplies the outcome (captured
@@ -278,8 +256,8 @@ class SearchRoot(SearchNode):
         shaping = self.shaping
         n_cap = self.n_captured
 
-        t = node.sim_time
-        tp = node.turn_pos
+        t, tp = divmod(depth, n_agents)
+        t += self.state.t
         node_time = t if tp == 0 else t + 1
         live = n_agents - n_cap
         if shaping is not None and live:
@@ -347,16 +325,14 @@ class SearchRoot(SearchNode):
         rand = rng.random
         for _ in range(budget.iterations):
             path = select(self, c)
-            leaf = path[-1]
             self._realize(path[1:])
-            child = self._grow(leaf)
+            child = self._grow(path[-1], len(path) - 1)
             if child is not None:
-                leaf = child
-                path.append(leaf)
-                self._realize((leaf,))
+                path.append(child)
+                self._realize((child,))
             if debug_check_deltas:
                 _verify_deltas(self, path)
-            backpropagate(path, self._playout(leaf, rand), rule)
+            backpropagate(path, self._playout(len(path) - 1, rand), rule)
             self._reset()
 
 
@@ -380,13 +356,6 @@ def _attach(node: SearchNode) -> tuple[SearchRoot, list[SearchNode]]:
     if not isinstance(node, SearchRoot):
         raise ValueError("node is not attached to a tree built by make_root")
     return node, chain[::-1]
-
-
-def _check_horizon(budget: SearchBudget, params: ValueParams) -> None:
-    if budget.t_final != params.t_final:
-        raise ValueError(
-            f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
-        )
 
 
 def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> list[SearchNode]:
@@ -420,35 +389,30 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     return path
 
 
-def expand(leaf: SearchNode, planning_agent: int) -> SearchNode:
+def expand(leaf: SearchNode) -> SearchNode:
     """Expand a leaf in place; returns its first child.
 
-    Raises if the leaf is already expanded, if the tree was built for a
-    different planning agent, or if the leaf is terminal (board fully
+    Raises if the leaf is already expanded or terminal (board fully
     captured or horizon reached). Runs on the root's board and resets it.
     """
     if leaf.expanded:
         raise ValueError("node is already expanded")
     root, chain = _attach(leaf)
-    if planning_agent != root.planning_agent:
-        raise ValueError(
-            f"tree was built for planning agent {root.planning_agent}, got {planning_agent}"
-        )
     root._realize(chain)
-    first = root._grow(leaf)
+    first = root._grow(leaf, len(chain))
     root._reset()
     if first is None:
         raise ValueError("cannot expand a terminal node")
     return first
 
 
-def rollout(node: SearchNode, budget: SearchBudget, rng: Random) -> float:
-    """Score one random playout from `node`'s state on the root's board,
-    then reset the board; the tree is untouched."""
+def rollout(node: SearchNode, rng: Random) -> float:
+    """Score one random playout from `node`'s state, up to the tree's own
+    horizon, on the root's board, then reset the board; the tree is
+    untouched."""
     root, chain = _attach(node)
-    _check_horizon(budget, root.params)
     root._realize(chain)
-    value = root._playout(node, rng.random)
+    value = root._playout(len(chain), rng.random)
     root._reset()
     return value
 
@@ -503,8 +467,9 @@ def best_action(root: SearchNode) -> Move:
 
     Children are scanned in creation order and only a strictly greater
     value displaces the incumbent, so ties resolve to the earliest move
-    in canonical order. Root children all share one sim_time, which
-    makes the depth part of the tie rule vacuous here.
+    in canonical order. Root children all sit at depth 1, so they share
+    one simulated time, which makes the depth part of the tie rule
+    vacuous here.
     """
     if not root.expanded:
         raise ValueError("root has no children; run the search first")
@@ -536,7 +501,10 @@ def plan_move(
     for benchmarking but priceless when touching the scratch board.
     """
     root = make_root(state, planning_agent, params)
-    _check_horizon(budget, params)
+    if budget.t_final != params.t_final:
+        raise ValueError(
+            f"budget horizon {budget.t_final} disagrees with value params {params.t_final}"
+        )
     if state.captured[planning_agent]:
         return Move.STAY
     if is_terminal(state, budget.t_final):

@@ -196,9 +196,3 @@ def read_instance(path) -> Instance:
     if name is None:
         name = instance_name(n, n_agents, 0)
     return Instance(name, grid, tuple(cells[:n_agents]), tuple(cells[n_agents:]), gen_seed)
-
-
-def search_space_exponent(n: int, n_agents: int) -> int:
-    """Single-agent decisions in a full-horizon episode: 3n turns times
-    n_agents. The size family's difficulty label (branching ** this)."""
-    return 3 * n * n_agents

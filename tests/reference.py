@@ -281,18 +281,20 @@ def compare_trees(ref_node: RefNode, node) -> list[str]:
 
     Returns human-readable mismatch strings; empty means the trees agree
     exactly (same shape, same moves, identical float values and visit
-    counts node for node).
+    counts node for node). Engine nodes store no clock, so the twin's
+    stored clock at depth d is checked against the one the engine derives
+    from depth: turn position d % n_agents of turn t + d // n_agents.
     """
     diffs: list[str] = []
+    t0, n_agents = ref_node.state.t, ref_node.state.n_agents
 
-    def walk(r, e, trail):
+    def walk(r, e, trail, depth):
         if (r.agent, r.move) != (e.agent, e.move):
             diffs.append(f"{trail}: delta ({r.agent},{r.move}) != ({e.agent},{e.move})")
             return
-        if (r.turn_pos, r.sim_time) != (e.turn_pos, e.sim_time):
-            diffs.append(
-                f"{trail}: clock ({r.turn_pos},{r.sim_time}) != ({e.turn_pos},{e.sim_time})"
-            )
+        clock = (depth % n_agents, t0 + depth // n_agents)
+        if (r.turn_pos, r.sim_time) != clock:
+            diffs.append(f"{trail}: clock ({r.turn_pos},{r.sim_time}) != {clock}")
         if r.stats.visits != e.visits or r.stats.value != e.value:
             diffs.append(
                 f"{trail}: stats ({r.stats.value!r},{r.stats.visits}) != "
@@ -304,9 +306,9 @@ def compare_trees(ref_node: RefNode, node) -> list[str]:
             diffs.append(f"{trail}: {len(rk)} children != {len(ek)}")
             return
         for i, (rc, ec) in enumerate(zip(rk, ek)):
-            walk(rc, ec, f"{trail}.{i}")
+            walk(rc, ec, f"{trail}.{i}", depth + 1)
 
-    walk(ref_node, node, "root")
+    walk(ref_node, node, "root", 0)
     return diffs
 
 

@@ -138,7 +138,6 @@ def test_criterion_04_delta_rollout_equals_reference():
         if all(s.captured):
             continue
         p = ValueParams(meta.choice([0.0, 0.5, 1.0]), UpdateRule.MEAN, na, 3 * n)
-        budget = SearchBudget(1, 3 * n)
         planner = meta.randrange(na)
         root = make_root(s, planner, p)
         tree = RefTree(s, planner, p)
@@ -148,14 +147,14 @@ def test_criterion_04_delta_rollout_equals_reference():
         for _ in range(meta.choice([0, 0, meta.randrange(1, na + 2)])):
             if node.children is None:
                 try:
-                    expand(node, planner)
+                    expand(node)
                 except ValueError:
                     break  # terminal node, roll out from here
                 ref_expand(tree, ref_node)
             i = meta.randrange(len(node.children))
             node, ref_node = node.children[i], ref_node.children[i]
         seed = meta.randrange(2**60)
-        got = rollout(node, budget, Random(seed))
+        got = rollout(node, Random(seed))
         want = ref_rollout(tree, ref_node, Random(seed))
         if got != want:
             bad += 1

@@ -219,10 +219,15 @@ def test_main_exit_codes(capsys):
 
 
 def test_main_rejects_nan_exploration_constant(capsys):
-    code = main(["--grid-size", "4", "--agents", "2", "--instances", "1",
-                 "--iterations", "20", "--exploration-c", "nan"])
-    assert code != 0
-    assert "exploration_c" in capsys.readouterr().err
+    # rejected while parsing, by SearchBudget's own rule: exit code 2, no run
+    for value in ("nan", "-1", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--grid-size", "4", "--agents", "2", "--instances", "1",
+                  "--iterations", "20", "--exploration-c", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --exploration-c: exploration_c must be finite" in err
 
 
 def test_module_entry_point_imports_once():

@@ -74,18 +74,11 @@ def test_moves_displace_by_at_most_one(r, c, mv):
 # ------------------------------------------------------------- GridConfig
 
 
-def test_grid_config_defaults_goals_to_agents():
-    cfg = GridConfig(5, 3)
-    assert cfg.n_goals == 3
-    assert GridConfig(5, 3, 3).n_goals == 3
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(n=1, n_agents=1),
         dict(n=5, n_agents=0),
-        dict(n=5, n_agents=3, n_goals=2),
         dict(n=2, n_agents=3),  # 6 cells needed, 4 available
     ],
 )

@@ -61,14 +61,14 @@ def params_for(state, t_final, alpha=0.5, rule=UpdateRule.MEAN):
     return ValueParams(alpha, rule, state.n_agents, t_final)
 
 
-def exhaust(node, planning_agent, depth):
+def exhaust(node, depth):
     """Expand the whole tree `depth` levels deep; returns all nodes by level."""
     levels = [[node]]
     for _ in range(depth):
         nxt = []
         for nd in levels[-1]:
             try:
-                expand(nd, planning_agent)
+                expand(nd)
             except ValueError:
                 continue  # terminal leaf
             nxt.extend(nd.children)
@@ -86,12 +86,12 @@ def grow_by_public_steps(root, budget, rng):
         path = select(root, budget.exploration_c)
         leaf = path[-1]
         try:
-            leaf = expand(leaf, root.planning_agent)
+            leaf = expand(leaf)
         except ValueError as e:
             assert "terminal" in str(e), e
         else:
             path.append(leaf)
-        backpropagate(path, rollout(leaf, budget, rng), root.params.update_rule)
+        backpropagate(path, rollout(leaf, rng), root.params.update_rule)
 
 
 # ------------------------------------------------------------ SearchBudget
@@ -118,10 +118,13 @@ def test_root_turn_order_planner_first():
     s = mk(5, [(0, 0), (1, 1), (2, 3)], [(4, 4), (4, 3), (4, 2)])
     root = make_root(s, 1, params_for(s, 15))
     assert root.order == (1, 0, 2)
-    assert root.turn_pos == 0
-    assert root.sim_time == s.t
-    assert root.acting_agent == 1
     assert not root.expanded
+    # the levels below the root enumerate the agents in that order
+    node = root
+    for agent in (1, 0, 2, 1):
+        expand(node)
+        assert {c.agent for c in node.children} == {agent}
+        node = node.children[0]
 
 
 def test_root_validation():
@@ -138,7 +141,7 @@ def test_root_validation():
 def test_expand_one_child_per_legal_move():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    first = expand(root, 0)
+    first = expand(root)
     assert root.expanded
     assert [c.move for c in root.children] == list(legal_moves(s, 0))
     assert first is root.children[0]
@@ -148,7 +151,7 @@ def test_expand_one_child_per_legal_move():
 def test_expand_corner_gives_three_children():
     s = mk(5, [(0, 0)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
+    expand(root)
     assert len(root.children) == 3
     assert [c.move for c in root.children] == [Move.DOWN, Move.RIGHT, Move.STAY]
 
@@ -156,52 +159,48 @@ def test_expand_corner_gives_three_children():
 def test_expand_captured_actor_single_stay_child():
     s = mk(5, [(0, 0), (2, 2)], [(2, 2), (4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)  # planner acts first, it is live
+    expand(root)  # planner acts first, it is live
     kid = root.children[0]
-    assert kid.acting_agent == 1  # captured agent's turn
-    expand(kid, 0)
-    assert [c.move for c in kid.children] == [Move.STAY]
+    expand(kid)  # captured agent's turn
+    assert [(c.agent, c.move) for c in kid.children] == [(1, Move.STAY)]
 
 
 def test_turn_wrap_increments_sim_time_exactly_once():
+    # two turns left for two agents: the clock reaches the horizon at
+    # depth 4, after two wraps, and not one level earlier or later
     s = mk(5, [(0, 0), (1, 1)], [(4, 4), (3, 3)], t=2)
-    root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
-    mid = root.children[0]
-    assert (mid.turn_pos, mid.sim_time) == (1, 2)  # mid-turn: clock unchanged
-    expand(mid, 0)
-    nxt = mid.children[0]
-    assert (nxt.turn_pos, nxt.sim_time) == (0, 3)  # wrap: clock ticks
+    root = make_root(s, 0, params_for(s, 4))
+    node = root
+    for _ in range(s.n_agents * 2):
+        node = expand(node)
+    with pytest.raises(ValueError, match="terminal"):
+        expand(node)
 
 
-def test_expand_rejects_double_expansion_and_wrong_agent():
+def test_expand_rejects_double_expansion():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
+    expand(root)
     with pytest.raises(ValueError):
-        expand(root, 0)
-    s2 = mk(5, [(0, 0), (1, 1)], [(4, 4), (3, 3)])
-    root2 = make_root(s2, 0, params_for(s2, 15))
-    with pytest.raises(ValueError):
-        expand(root2, 1)
+        expand(root)
 
 
 def test_expand_rejects_terminal_nodes():
     done = mk(5, [(4, 4), (3, 3)], [(4, 4), (3, 3)])
     root = make_root(done, 0, params_for(done, 15))
     with pytest.raises(ValueError):
-        expand(root, 0)
+        expand(root)
     out_of_time = mk(5, [(0, 0)], [(4, 4)], t=15)
     root2 = make_root(out_of_time, 0, params_for(out_of_time, 15))
     with pytest.raises(ValueError):
-        expand(root2, 0)
+        expand(root2)
 
 
 def test_turn_completeness_along_paths():
     """Every simulated time step spans each agent exactly once."""
     s = mk(4, [(0, 0), (1, 1), (2, 2)], [(3, 3), (3, 2), (3, 1)])
     root = make_root(s, 2, params_for(s, 12))
-    levels = exhaust(root, 2, 7)
+    levels = exhaust(root, 7)
     # walk a handful of root-to-leaf paths
     for leaf in levels[-1][:200:7]:
         path = []
@@ -220,9 +219,9 @@ def test_depth_bound_is_population_times_horizon():
     s = mk(3, [(0, 0), (2, 2)], [(0, 2), (2, 0)], t=0)
     t_final = 2
     root = make_root(s, 0, params_for(s, t_final))
-    levels = exhaust(root, 0, 10)
+    levels = exhaust(root, 10)
     deepest = max(i for i, lv in enumerate(levels) if lv)
-    assert deepest <= s.n_agents * (t_final - s.t)
+    assert deepest == s.n_agents * (t_final - s.t)
 
 
 def test_no_duplicate_states_within_one_round_window():
@@ -236,7 +235,7 @@ def test_no_duplicate_states_within_one_round_window():
     s = mk(3, [(0, 0), (2, 2)], [(0, 2), (2, 0)])
     n_agents = 2
     root = make_root(s, 0, params_for(s, 9))
-    levels = exhaust(root, 0, n_agents + 1)
+    levels = exhaust(root, n_agents + 1)
 
     def realize(node):
         chain = []
@@ -272,7 +271,7 @@ def test_select_unexpanded_root_is_single_node_path():
 def test_select_prefers_unvisited_children():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
+    expand(root)
     backpropagate([root, root.children[0]], 0.9, UpdateRule.MEAN)
     path = select(root, 1.0)
     assert path == [root, root.children[1]]  # first unvisited wins
@@ -281,7 +280,7 @@ def test_select_prefers_unvisited_children():
 def test_select_exploits_at_zero_c():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
+    expand(root)
     vals = [0.2, 0.8, 0.3, 0.1, 0.4]
     for child, v in zip(root.children, vals):
         child.value, child.visits = v, 1
@@ -293,7 +292,7 @@ def test_select_exploits_at_zero_c():
 def test_select_matches_manual_uct():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
+    expand(root)
     visits = [3, 1, 2, 5, 4]
     vals = [0.52, 0.61, 0.47, 0.55, 0.50]
     for child, v, k in zip(root.children, vals, visits):
@@ -314,9 +313,8 @@ def test_select_matches_manual_uct():
 def test_rollout_deterministic_under_fixed_seed():
     s = mk(5, [(0, 0), (3, 1)], [(4, 4), (1, 3)])
     root = make_root(s, 0, params_for(s, 15))
-    budget = SearchBudget(1, 15)
-    a = rollout(root, budget, Random(99))
-    b = rollout(root, budget, Random(99))
+    a = rollout(root, Random(99))
+    b = rollout(root, Random(99))
     assert a == b
     assert root.stats == NodeStats(0.0, 0)  # tree untouched
 
@@ -325,7 +323,7 @@ def test_rollout_on_all_captured_node_is_closed_form():
     s = mk(5, [(2, 2), (3, 3)], [(2, 2), (3, 3)], t=4)
     p = params_for(s, 15)
     root = make_root(s, 0, p)
-    got = rollout(root, SearchBudget(1, 15), Random(0))
+    got = rollout(root, Random(0))
     assert got == depth_adjusted(value_mod(2, True, p), 4, p)
 
 
@@ -333,20 +331,12 @@ def test_rollout_mark_is_planners_own_capture():
     # planner 1 is captured, planner 0 is not: same state, different mark
     s = mk(5, [(0, 0), (3, 3)], [(4, 4), (3, 3)], t=15)
     p = params_for(s, 15)
-    exhausted = SearchBudget(1, 15)
-    v0 = rollout(make_root(s, 0, p), exhausted, Random(1))
-    v1 = rollout(make_root(s, 1, p), exhausted, Random(1))
+    v0 = rollout(make_root(s, 0, p), Random(1))
+    v1 = rollout(make_root(s, 1, p), Random(1))
     # horizon is spent so both rollouts are empty: values differ by the
     # mark penalty alone
     assert v0 == depth_adjusted(value_mod(1, False, p), 15, p)
     assert v1 == depth_adjusted(value_mod(1, True, p), 15, p)
-
-
-def test_rollout_checks_horizon_consistency():
-    s = mk(5, [(2, 2)], [(4, 4)])
-    root = make_root(s, 0, params_for(s, 15))
-    with pytest.raises(ValueError):
-        rollout(root, SearchBudget(1, 12), Random(0))
 
 
 def test_rollout_sample_matches_full_copy_reference():
@@ -361,10 +351,9 @@ def test_rollout_sample_matches_full_copy_reference():
         if all(s.captured):
             continue
         p = ValueParams(meta.choice([0.0, 0.5, 1.0]), UpdateRule.MEAN, na, 3 * n)
-        budget = SearchBudget(1, 3 * n)
         root = make_root(s, meta.randrange(na), p)
         seed = meta.randrange(2**60)
-        got = rollout(root, budget, Random(seed))
+        got = rollout(root, Random(seed))
         tree = RefTree(s, root.planning_agent, p)
         want = ref_rollout(tree, tree.root, Random(seed))
         assert got == want
@@ -386,7 +375,7 @@ def test_backpropagate_bitwise_equals_update_value():
     for rule in UpdateRule:
         s = mk(5, [(2, 2)], [(4, 4)])
         root = make_root(s, 0, params_for(s, 15, rule=rule))
-        expand(root, 0)
+        expand(root)
         node = root.children[0]
         mirror_root = NodeStats(0.0, 0)
         mirror_node = NodeStats(0.0, 0)
@@ -423,7 +412,7 @@ def test_best_action_single_child():
         (False, True, True, True),
     )
     root = make_root(s, 0, ValueParams(0.5, UpdateRule.MEAN, 4, 15))
-    expand(root, 0)
+    expand(root)
     assert [c.move for c in root.children] == [Move.STAY]
     assert best_action(root) is Move.STAY
 
@@ -438,7 +427,7 @@ def test_best_action_requires_expansion():
 def test_best_action_tie_breaks_by_canonical_order():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root, 0)
+    expand(root)
     for child, v in zip(root.children, [0.3, 0.9, 0.9, 0.1, 0.2]):
         child.value, child.visits = v, 1
     assert best_action(root) is Move.DOWN  # first of the tied pair
@@ -588,7 +577,7 @@ def test_distance_weight_zero_returns_todays_sample():
         (0, 4): "0x1.f49f49f49f49fp-1",
     }
     for (agent, seed), hx in want.items():
-        got = rollout(make_root(s, agent, p), SearchBudget(1, 15), Random(seed))
+        got = rollout(make_root(s, agent, p), Random(seed))
         assert got == float.fromhex(hx)
     assert ValueParams(0.5, UpdateRule.MEAN, 3, 15) == p  # 0 is the default
 
@@ -601,11 +590,10 @@ def test_distance_term_subtracts_less_than_one_capture_step():
         if all(s.captured):
             continue
         pw = dataclasses.replace(p0, distance_weight=0.99)
-        b = SearchBudget(1, p0.t_final)
         planner = meta.randrange(s.n_agents)
         seed = meta.randrange(2**60)
-        plain = rollout(make_root(s, planner, p0), b, Random(seed))
-        shaped = rollout(make_root(s, planner, pw), b, Random(seed))
+        plain = rollout(make_root(s, planner, p0), Random(seed))
+        shaped = rollout(make_root(s, planner, pw), Random(seed))
         # the term draws no randomness: same playout, value shifted
         assert shaped == distance_adjusted(plain, ref_goal_distances(s), s.n, pw)
         assert 0 < plain - shaped < 1 / s.n_agents
@@ -619,7 +607,7 @@ def test_distance_term_subtracts_less_than_one_capture_step():
 def test_distance_term_vanishes_on_all_captured_node():
     s = mk(5, [(2, 2), (3, 3)], [(2, 2), (3, 3)], t=4)
     p = ValueParams(0.5, UpdateRule.MEAN, 2, 15, distance_weight=0.9)
-    got = rollout(make_root(s, 0, p), SearchBudget(1, 15), Random(0))
+    got = rollout(make_root(s, 0, p), Random(0))
     assert got == depth_adjusted(value_mod(2, True, p), 4, p)
 
 
@@ -634,15 +622,14 @@ def test_distance_term_uses_goal_walled_path_in_mp88_pocket():
                    (True,) * 7 + (False,))
     p0 = ValueParams(0.0, UpdateRule.MEAN, 8, 24)
     pw = dataclasses.replace(p0, distance_weight=0.5)
-    b = SearchBudget(1, 24)
     root0, rootw = make_root(s, 7, p0), make_root(s, 7, pw)
-    expand(root0, 7)
-    expand(rootw, 7)
+    expand(root0)
+    expand(rootw)
     walled = {Move.UP: 8, Move.DOWN: 10, Move.LEFT: 10, Move.RIGHT: 8, Move.STAY: 9}
     penalty = {}
     for c0, cw in zip(root0.children, rootw.children):
-        plain = rollout(c0, b, Random(3))
-        shaped = rollout(cw, b, Random(3))
+        plain = rollout(c0, Random(3))
+        shaped = rollout(cw, Random(3))
         assert shaped == distance_adjusted(plain, [walled[cw.move]], 8, pw)
         penalty[cw.move] = plain - shaped
     # stepping down into the dead end costs more than climbing round,
@@ -662,7 +649,6 @@ def test_shaped_rollout_sample_matches_full_copy_reference():
         if all(s.captured):
             continue
         p = _with_weight(p, meta)
-        budget = SearchBudget(1, p.t_final)
         planner = meta.randrange(s.n_agents)
         root = make_root(s, planner, p)
         tree = RefTree(s, planner, p)
@@ -672,14 +658,14 @@ def test_shaped_rollout_sample_matches_full_copy_reference():
         for _ in range(meta.choice([0, meta.randrange(1, 2 * s.n_agents + 2)])):
             if node.children is None:
                 try:
-                    expand(node, planner)
+                    expand(node)
                 except ValueError:
                     break
                 ref_expand(tree, ref_node)
             i = meta.randrange(len(node.children))
             node, ref_node = node.children[i], ref_node.children[i]
         seed = meta.randrange(2**60)
-        assert rollout(node, budget, Random(seed)) == ref_rollout(tree, ref_node, Random(seed))
+        assert rollout(node, Random(seed)) == ref_rollout(tree, ref_node, Random(seed))
         pairs += 1
 
 
@@ -802,12 +788,12 @@ def test_public_steps_leave_the_session_board_clean():
             node = root
             while node.children and side.random() < 0.85:
                 node = side.choice(node.children)
-            rollout(node, b, side)
+            rollout(node, side)
             # the session expands every leaf it selects unless it is
             # terminal, so a leaf visited twice is terminal
             if node.children is None and node.visits >= 2:
                 with pytest.raises(ValueError, match="terminal"):
-                    expand(node, agent)
+                    expand(node)
                 rejected += 1
         diffs = compare_trees(ref_plan_tree(s, agent, b, p, Random(seed)).root, root)
         assert not diffs, diffs[:4]

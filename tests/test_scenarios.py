@@ -12,7 +12,6 @@ from gridmcts.scenarios import (
     instance_name,
     parse_instance_name,
     read_instance,
-    search_space_exponent,
     write_instance,
 )
 
@@ -198,13 +197,3 @@ def test_goal_may_duplicate_start(tmp_path):
     p.write_text("3 1\n1 1\n1 1\n", encoding="ascii")
     i = read_instance(p)
     assert i.starts == i.goals
-
-
-# --------------------------------------------------- search space exponent
-
-
-def test_search_space_exponent_values():
-    assert search_space_exponent(5, 2) == 30
-    assert search_space_exponent(20, 20) == 1200
-    assert search_space_exponent(1, 0) == 0
-    assert search_space_exponent(10, 5) == 150
