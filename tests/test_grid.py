@@ -80,6 +80,7 @@ def test_moves_displace_by_at_most_one(r, c, mv):
         dict(n=1, n_agents=1),
         dict(n=5, n_agents=0),
         dict(n=2, n_agents=3),  # 6 cells needed, 4 available
+        dict(n=3, n_agents=5),  # 10 cells needed, 9 available: one short
     ],
 )
 def test_grid_config_rejects_bad_shapes(kwargs):
