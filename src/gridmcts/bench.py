@@ -3,7 +3,9 @@
 Runs size families of generated instances through full episodes and
 reports per-run success rate, makespan, and planning-time aggregates as
 CSV. Two modes: a fixed-horizon accuracy run (default) and a horizon
-sweep (--sweep-t-final) that aggregates success rate per horizon.
+sweep (--sweep-t-final) that aggregates success rate per horizon. Each
+call builds one task list, every horizon of a sweep included, and plays
+it in-process or through one pool of at most one process per task.
 
 Every run is reproducible from the master seed alone: instance layouts
 and episode seeds are both derived from it with the package's integer
@@ -31,7 +33,7 @@ from .mcts import DEFAULT_EXPLORATION_C, SearchBudget
 from .oracle import _MAX_AGENTS, _MAX_N, exact_joint_search
 from .scenarios import generate_instance
 from .seeds import mix_chain
-from .values import UpdateRule, ValueParams
+from .values import _ALPHAS, UpdateRule, ValueParams
 
 # weight of the leaf distance term in benchmark episodes. 0.5 is the
 # only nonzero weight tried; held-out master seeds 1-4 confirmed it
@@ -86,13 +88,13 @@ class SweepPoint:
 
 
 # task tuples keep the pool protocol picklable and version-agnostic:
-# (n, n_agents, k, rep, master_seed, iterations, t_final, alpha,
-#  update_rule_value, exploration_c, oracle_check)
+# (n, n_agents, k, rep, t_final, settings); settings, one per call, is
+# (master_seed, iterations, alpha, update_rule_value, exploration_c, oracle_check)
 
 
 def _execute_task(task) -> RunRecord:
-    (n, n_agents, k, rep, master_seed, iterations, t_final, alpha,
-     rule_value, exploration_c, oracle_check) = task
+    n, n_agents, k, rep, t_final, settings = task
+    master_seed, iterations, alpha, rule_value, exploration_c, oracle_check = settings
     instance = generate_instance(n, n_agents, k, master_seed)
     episode_seed = mix_chain(master_seed, n, n_agents, k, rep)
     params_t = t_final if t_final >= 1 else 1  # horizon 0 never evaluates
@@ -141,6 +143,17 @@ def _execute_task(task) -> RunRecord:
     )
 
 
+def _run_tasks(tasks, workers: int) -> list[RunRecord]:
+    """Records of every task, in task order: played in-process, or
+    through one pool of at most one process per task. chunksize=1 deals
+    out one episode at a time, so no worker gets a batch of long ones.
+    """
+    if workers > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+            return pool.map(_execute_task, tasks, chunksize=1)
+    return [_execute_task(t) for t in tasks]
+
+
 def run_full_accuracy(
     sizes,
     *,
@@ -161,19 +174,14 @@ def run_full_accuracy(
     (sizes, then instance index, then repeat) regardless of worker
     count.
     """
-    tasks = []
-    for n, n_agents in sizes:
-        tf = 3 * n if t_final is None else t_final
-        for k in range(instances):
-            for rep in range(repeats):
-                tasks.append((
-                    n, n_agents, k, rep, master_seed, iterations, tf,
-                    alpha, update_rule.value, exploration_c, oracle_check,
-                ))
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            return pool.map(_execute_task, tasks)
-    return [_execute_task(t) for t in tasks]
+    settings = (master_seed, iterations, alpha, update_rule.value,
+                exploration_c, oracle_check)
+    return _run_tasks([
+        (n, n_agents, k, rep, 3 * n if t_final is None else t_final, settings)
+        for n, n_agents in sizes
+        for k in range(instances)
+        for rep in range(repeats)
+    ], workers)
 
 
 def run_time_accuracy_sweep(
@@ -195,29 +203,23 @@ def run_time_accuracy_sweep(
     Every horizon value sees the same instances and the same episode
     seeds, so points differ only in how much time the agents get.
     """
-    points = []
-    for tf in sorted(set(int(t) for t in t_finals)):
-        records = run_full_accuracy(
-            [(n, n_agents)],
-            instances=instances,
-            repeats=repeats,
-            iterations=iterations,
-            t_final=tf,
-            alpha=alpha,
-            update_rule=update_rule,
-            exploration_c=exploration_c,
-            master_seed=master_seed,
-            workers=workers,
-        )
-        srs = [r.success_rate for r in records]
-        points.append(SweepPoint(
-            t_final=tf,
-            runs=len(records),
-            mean_success_rate=sum(srs) / len(srs),
-            full_success_fraction=sum(1 for x in srs if x == 1.0) / len(srs),
-            mean_makespan=sum(r.makespan for r in records) / len(records),
-        ))
-    return points
+    settings = (master_seed, iterations, alpha, update_rule.value,
+                exploration_c, False)
+    by_horizon = {tf: [] for tf in sorted(set(int(t) for t in t_finals))}
+    for r in _run_tasks([
+        (n, n_agents, k, rep, tf, settings)
+        for tf in by_horizon
+        for k in range(instances)
+        for rep in range(repeats)
+    ], workers):
+        by_horizon[r.t_final].append(r)
+    return [SweepPoint(
+        t_final=tf,
+        runs=len(rs),
+        mean_success_rate=sum(r.success_rate for r in rs) / len(rs),
+        full_success_fraction=sum(r.success_rate == 1.0 for r in rs) / len(rs),
+        mean_makespan=sum(r.makespan for r in rs) / len(rs),
+    ) for tf, rs in by_horizon.items()]
 
 
 def _write_records_csv(records, out):
@@ -280,6 +282,8 @@ def _parse_sweep(spec: str):
         raise argparse.ArgumentTypeError(
             f"expected START:STOP:STEP with integers, got {spec!r}"
         ) from None
+    if a < 0:
+        raise argparse.ArgumentTypeError(f"start must be at least 0, got {a}")
     if step < 1 or b < a:
         raise argparse.ArgumentTypeError(f"bad sweep range {spec!r}")
     return list(range(a, b + 1, step))
@@ -302,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search iterations per plan call (default 2000)")
     p.add_argument("--t-final", type=_non_negative_int, default=None,
                    help="episode horizon (default 3*N)")
-    p.add_argument("--alpha", type=float, default=0.0, choices=[0.0, 0.5, 1.0],
+    p.add_argument("--alpha", type=float, default=0.0, choices=[float(a) for a in _ALPHAS],
                    help="self-capture penalty weight (default 0.0)")
-    p.add_argument("--update", choices=["mean", "max"], default="mean",
+    p.add_argument("--update", choices=[r.value for r in UpdateRule], default="mean",
                    help="node value update rule (default mean)")
     p.add_argument("--exploration-c", type=_exploration_c, default=DEFAULT_EXPLORATION_C,
                    help="UCT exploration constant (default sqrt(2))")
@@ -337,22 +341,22 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    rule = UpdateRule(args.update)
     # opened before any episode runs, so a bad path costs no search time
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as e:
         parser.error(f"argument --out: cannot open {args.out!r}: {e.strerror}")
+    shared = dict(
+        instances=args.instances, repeats=args.repeats,
+        iterations=args.iterations, alpha=args.alpha,
+        update_rule=UpdateRule(args.update), exploration_c=args.exploration_c,
+        master_seed=args.seed, workers=args.workers,
+    )
     started = time.perf_counter()
     try:
         if args.sweep_t_final is not None:
             points = run_time_accuracy_sweep(
-                args.grid_size, args.agents, args.sweep_t_final,
-                instances=args.instances, repeats=args.repeats,
-                iterations=args.iterations, alpha=args.alpha,
-                update_rule=rule, exploration_c=args.exploration_c,
-                master_seed=args.seed, workers=args.workers,
-            )
+                args.grid_size, args.agents, args.sweep_t_final, **shared)
             _write_sweep_csv(points, out)
             for pt in points:
                 print(
@@ -362,13 +366,8 @@ def main(argv=None) -> int:
                 )
         else:
             records = run_full_accuracy(
-                [(args.grid_size, args.agents)],
-                instances=args.instances, repeats=args.repeats,
-                iterations=args.iterations, t_final=args.t_final,
-                alpha=args.alpha, update_rule=rule,
-                exploration_c=args.exploration_c, master_seed=args.seed,
-                workers=args.workers, oracle_check=args.oracle_check,
-            )
+                [(args.grid_size, args.agents)], t_final=args.t_final,
+                oracle_check=args.oracle_check, **shared)
             _write_records_csv(records, out)
             print(
                 f"{args.grid_size}x{args.grid_size}/{args.agents}: "

@@ -116,6 +116,42 @@ def test_sweep_points_sorted_and_aggregated():
         assert p.mean_makespan <= p.t_final
 
 
+def test_sweep_worker_count_does_not_change_points():
+    kw = dict(instances=2, repeats=2, iterations=60, master_seed=6)
+    assert run_time_accuracy_sweep(4, 2, [8, 3, 5], **kw, workers=1) == (
+        run_time_accuracy_sweep(4, 2, [8, 3, 5], **kw, workers=2))
+
+
+def test_one_pool_of_at_most_one_process_per_run(monkeypatch):
+    # a stand-in pool that records its size and maps in-process, so no
+    # process starts
+    built = []
+
+    class FakePool:
+        def __init__(self, processes):
+            built.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(bench.multiprocessing, "Pool", FakePool)
+    assert len(run_full_accuracy([(3, 1)], instances=2, iterations=5, workers=64)) == 2
+    assert built == [2]
+    built.clear()
+    pts = run_time_accuracy_sweep(3, 1, [2, 4, 6], instances=2, iterations=5, workers=2)
+    assert [p.t_final for p in pts] == [2, 4, 6] and all(p.runs == 60 for p in pts)
+    assert built == [2]
+    built.clear()
+    assert len(run_full_accuracy([(3, 1)], instances=1, iterations=5, workers=64)) == 1
+    assert built == []
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -148,6 +184,8 @@ def test_parser_rejects_bad_inputs():
         p.parse_args(["--grid-size", "5", "--agents", "2", "--sweep-t-final", "5"])
     with pytest.raises(SystemExit):
         p.parse_args(["--grid-size", "5", "--agents", "2", "--sweep-t-final", "9:5:1"])
+    with pytest.raises(SystemExit):
+        p.parse_args(["--grid-size", "5", "--agents", "2", "--sweep-t-final=-2:1:1"])
 
 
 def test_main_writes_csv(tmp_path, capsys):
