@@ -25,7 +25,7 @@ import math
 import multiprocessing
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 from .coordinator import EpisodeConfig, run_episode
 from .grid import GridConfig
@@ -110,9 +110,10 @@ def _execute_task(task) -> RunRecord:
     trace = run_episode(cfg, instance)
     # timing is aggregated over per-agent totals: each agent's planning
     # seconds are summed over the episode first, then averaged / maxed
-    # across agents, so avg <= max <= total always holds
+    # across agents, so avg <= max <= total always holds. The 0.0 start
+    # keeps the fields floats when no plan round ran
     per_agent = [
-        sum(row[a] for row in trace.plan_seconds) for a in range(n_agents)
+        sum((row[a] for row in trace.plan_seconds), 0.0) for a in range(n_agents)
     ]
     total = sum(per_agent)
     oracle_solvable = None
@@ -201,7 +202,8 @@ def run_time_accuracy_sweep(
     """Success rate as a function of the horizon, sorted by horizon.
 
     Every horizon value sees the same instances and the same episode
-    seeds, so points differ only in how much time the agents get.
+    seeds, so points differ only in how much time the agents get. With
+    no runs (instances or repeats 0) there are no points.
     """
     settings = (master_seed, iterations, alpha, update_rule.value,
                 exploration_c, False)
@@ -219,7 +221,7 @@ def run_time_accuracy_sweep(
         mean_success_rate=sum(r.success_rate for r in rs) / len(rs),
         full_success_fraction=sum(r.success_rate == 1.0 for r in rs) / len(rs),
         mean_makespan=sum(r.makespan for r in rs) / len(rs),
-    ) for tf, rs in by_horizon.items()]
+    ) for tf, rs in by_horizon.items() if rs]
 
 
 def _write_records_csv(records, out):
@@ -231,11 +233,9 @@ def _write_records_csv(records, out):
 
 def _write_sweep_csv(points, out):
     w = csv.writer(out)
-    w.writerow(("t_final", "runs", "mean_success_rate",
-                "full_success_fraction", "mean_makespan"))
+    w.writerow(f.name for f in fields(SweepPoint))
     for p in points:
-        w.writerow((p.t_final, p.runs, p.mean_success_rate,
-                    p.full_success_fraction, p.mean_makespan))
+        w.writerow(astuple(p))
 
 
 def _summarize(records) -> str:

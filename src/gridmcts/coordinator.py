@@ -88,9 +88,9 @@ def merge_states(state: WorldState, proposals) -> WorldState:
     of moving agents, so it ends within n_agents rounds.
 
     Swaps and rotation cycles touch no common cell and pass through
-    untouched: agents slide past each other. After placement, every
-    agent sitting on a goal is captured (locked goals were never legal
-    destinations, so any goal reached here was free).
+    untouched: agents slide past each other. Every agent that ends on a
+    goal is captured there (locked goals were never legal destinations,
+    so any goal reached here was free).
     """
     moves = [Move(m) for m in proposals]
     n_agents = state.n_agents
@@ -120,13 +120,9 @@ def merge_states(state: WorldState, proposals) -> WorldState:
         if not changed:
             break
 
-    new_cap = tuple(
-        c or (final[i] in state.goals) for i, c in enumerate(state.captured)
-    )
-    out = WorldState(state.n, state.t + 1, tuple(final), state.goals, new_cap)
     if len(set(final)) != n_agents:
         raise RuntimeError(f"merge left agents overlapping: {final}")
-    return out
+    return WorldState(state.n, state.t + 1, tuple(final), state.goals)
 
 
 def run_episode(cfg: EpisodeConfig, instance: Instance) -> EpisodeTrace:

@@ -4,7 +4,9 @@ The arena is an N x N board. Each agent occupies one cell; a set of goal
 cells must all end up occupied, one agent per goal. Agents move one cell
 per time step (four-way) or stay put. An agent that steps onto an
 unoccupied goal is captured there: it never moves again and its cell
-becomes impassable to everyone else.
+becomes impassable to everyone else. So an agent is captured exactly
+when it stands on a goal, and capture is derived from the positions,
+never stored beside them.
 
 States are immutable; all transition helpers return new states. Time is
 owned by the caller: ``apply_move`` repositions a single agent without
@@ -13,7 +15,7 @@ turn.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
@@ -105,6 +107,8 @@ class WorldState:
     """Snapshot of the board at time ``t``.
 
     ``captured[i]`` means agent i is pinned to the goal cell it sits on.
+    It is derived from the positions, never passed in: an agent is
+    captured exactly when it stands on a goal.
     Two live agents may transiently share a cell while a joint move is
     being assembled (single-agent proposals are applied one at a time);
     coordinator outputs are always pairwise distinct. Captured agents can
@@ -115,13 +119,11 @@ class WorldState:
     t: int
     agent_pos: tuple[Position, ...]
     goals: frozenset[Position]
-    captured: tuple[bool, ...]
+    captured: tuple[bool, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError(f"time must be non-negative, got {self.t}")
-        if len(self.captured) != len(self.agent_pos):
-            raise ValueError("captured flags and agent positions disagree in length")
         if len(self.goals) != len(self.agent_pos):
             raise ValueError(
                 f"{len(self.agent_pos)} agents but {len(self.goals)} goals"
@@ -129,15 +131,11 @@ class WorldState:
         for cell in list(self.agent_pos) + list(self.goals):
             if not (0 <= cell.row < self.n and 0 <= cell.col < self.n):
                 raise ValueError(f"cell {cell} outside {self.n}x{self.n} grid")
-        taken: set[Position] = set()
-        for i, (pos, cap) in enumerate(zip(self.agent_pos, self.captured)):
-            if not cap:
-                continue
-            if pos not in self.goals:
-                raise ValueError(f"agent {i} flagged captured off-goal at {pos}")
-            if pos in taken:
-                raise ValueError(f"two captured agents share goal {pos}")
-            taken.add(pos)
+        captured = tuple(p in self.goals for p in self.agent_pos)
+        held = [p for p, c in zip(self.agent_pos, captured) if c]
+        if len(set(held)) != len(held):
+            raise ValueError(f"two captured agents share a goal: {held}")
+        object.__setattr__(self, "captured", captured)
 
     @property
     def n_agents(self) -> int:
@@ -151,7 +149,7 @@ class WorldState:
 
 
 def initial_state(grid: GridConfig, starts, goals) -> WorldState:
-    """Build the t=0 state; agents that start on a goal are captured at once."""
+    """Build the t=0 state; agents that start on a goal are captured there."""
     starts = tuple(Position(*p) for p in starts)
     goal_set = frozenset(Position(*p) for p in goals)
     if len(starts) != grid.n_agents:
@@ -160,8 +158,7 @@ def initial_state(grid: GridConfig, starts, goals) -> WorldState:
         raise ValueError(f"expected {grid.n_agents} distinct goals")
     if len(set(starts)) != len(starts):
         raise ValueError("start cells must be pairwise distinct")
-    captured = tuple(p in goal_set for p in starts)
-    return WorldState(grid.n, 0, starts, goal_set, captured)
+    return WorldState(grid.n, 0, starts, goal_set)
 
 
 def legal_moves(state: WorldState, agent: int) -> tuple[Move, ...]:
@@ -188,7 +185,8 @@ def legal_moves(state: WorldState, agent: int) -> tuple[Move, ...]:
 
 
 def apply_move(state: WorldState, agent: int, move: Move) -> WorldState:
-    """Reposition one agent; capture it if it lands on a free goal.
+    """Reposition one agent; landing on a goal captures it (locked goals
+    are not legal destinations, so any goal it lands on is free).
 
     ``t`` is untouched. Raises ValueError for a move not in
     ``legal_moves(state, agent)``.
@@ -198,12 +196,7 @@ def apply_move(state: WorldState, agent: int, move: Move) -> WorldState:
     dest = move_dest(state.agent_pos[agent], move)
     new_pos = list(state.agent_pos)
     new_pos[agent] = dest
-    new_cap = list(state.captured)
-    if not new_cap[agent] and dest in state.goals:
-        # landing on a goal pins the agent; locked goals were already
-        # filtered out of legal_moves, so this goal is free
-        new_cap[agent] = True
-    return WorldState(state.n, state.t, tuple(new_pos), state.goals, tuple(new_cap))
+    return WorldState(state.n, state.t, tuple(new_pos), state.goals)
 
 
 def goal_walled_distances(n: int, goals, target: Position) -> dict[Position, int]:

@@ -135,13 +135,16 @@ class SearchRoot(SearchNode):
 
     Holds the full world state, the context of the whole tree (planning
     agent, value parameters, turn order), the leaf distance term's lookup
-    data and the flat-indexed scratch board every search step runs on.
+    data and the flat-indexed scratch board every search step runs on:
+    agent cells, goal cells, locked goal cells and the captured count.
+    As in grid.WorldState, an agent is captured exactly when its cell is
+    a goal, so the board keeps no per-agent flag.
     Between steps the board equals its snapshot taken here; _reset()
     restores it in place, so the lists keep their identity.
     """
 
     __slots__ = ("state", "planning_agent", "params", "order", "shaping",
-                 "pos", "captured", "goal_at", "cap_at", "n_captured",
+                 "pos", "goal_at", "cap_at", "n_captured",
                  "moves", "steps", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
@@ -157,43 +160,38 @@ class SearchRoot(SearchNode):
         w = params.distance_weight
         self.shaping = (w, _goal_tables(n, state.goals), distance_cap(n)) if w else None
         self.pos = [p.row * n + p.col for p in state.agent_pos]
-        self.captured = [1 if c else 0 for c in state.captured]
         self.goal_at = bytearray(n * n)
         for g in state.goals:
             self.goal_at[g.row * n + g.col] = 1
         self.cap_at = bytearray(n * n)
-        for cell, cap in zip(self.pos, self.captured):
-            if cap:
-                self.cap_at[cell] = 1
-        self.n_captured = sum(self.captured)
+        for cell in self.pos:
+            self.cap_at[cell] = self.goal_at[cell]
+        self.n_captured = sum(state.captured)
         self.moves, self.steps = cell_tables(n)
-        self.snapshot = (self.pos[:], self.captured[:], self.cap_at[:], self.n_captured)
+        self.snapshot = (self.pos[:], self.cap_at[:], self.n_captured)
 
     def _reset(self) -> None:
-        pos, captured, cap_at, self.n_captured = self.snapshot
+        pos, cap_at, self.n_captured = self.snapshot
         self.pos[:] = pos
-        self.captured[:] = captured
         self.cap_at[:] = cap_at
 
     def _realize(self, nodes) -> None:
         """Apply the deltas of `nodes`, in order, to the scratch board.
 
-        Mirrors grid.apply_move: landing on (or staying on) a free goal pins
-        the agent. The engine's only way from tree to board.
+        Mirrors grid.apply_move: landing on a free goal pins the agent and
+        locks the goal. A captured agent's only move is Stay on its own,
+        already locked goal. The engine's only way from tree to board.
         """
         pos = self.pos
-        captured = self.captured
         goal_at = self.goal_at
         cap_at = self.cap_at
         n_cap = self.n_captured
         for nd in nodes:
-            a = nd.agent
             q = nd.dest
-            if goal_at[q] and not cap_at[q] and not captured[a]:
-                captured[a] = 1
+            if goal_at[q] and not cap_at[q]:
                 cap_at[q] = 1
                 n_cap += 1
-            pos[a] = q
+            pos[nd.agent] = q
         self.n_captured = n_cap
 
     def _grow(self, leaf: SearchNode, depth: int):
@@ -214,7 +212,7 @@ class SearchRoot(SearchNode):
             return None
         act = order[tp]
         p = self.pos[act]
-        if self.captured[act]:
+        if self.goal_at[p]:
             kids = [SearchNode(leaf, act, Move.STAY, p)]
         else:
             cap_at = self.cap_at
@@ -249,7 +247,6 @@ class SearchRoot(SearchNode):
         order = self.order
         n_agents = len(order)
         pos = self.pos
-        captured = self.captured
         goal_at = self.goal_at
         cap_at = self.cap_at
         steps = self.steps
@@ -263,17 +260,23 @@ class SearchRoot(SearchNode):
         if shaping is not None and live:
             w, near, cap = shaping
             dist_sum = 0
-            for a in range(n_agents):
-                if captured[a]:
+            for p in pos:
+                if goal_at[p]:
                     continue
                 d = cap
-                for dg, gcell in near[pos[a]]:
+                for dg, gcell in near[p]:
                     if not cap_at[gcell]:
                         d = dg  # nearest first, so the first free goal wins
                         break
                 dist_sum += d
 
-        movers = [a for a in order[tp:] if not captured[a]]
+        # plain loops, not comprehensions: before CPython 3.12 a
+        # comprehension reading pos or goal_at would make both closure
+        # cells, and every read of them in the playout loop slower
+        movers = []
+        for a in order[tp:]:
+            if not goal_at[pos[a]]:
+                movers.append(a)
         stale = tp != 0
         while t < t_final:
             for a in movers:
@@ -286,7 +289,6 @@ class SearchRoot(SearchNode):
                 pos[a] = q
                 # q is legal here, so any goal it lands on is free
                 if goal_at[q]:
-                    captured[a] = 1
                     cap_at[q] = 1
                     n_cap += 1
                     stale = True
@@ -296,13 +298,16 @@ class SearchRoot(SearchNode):
                 break
             t += 1
             if stale:
-                movers = [a for a in order if not captured[a]]
+                movers = []
+                for a in order:
+                    if not goal_at[pos[a]]:
+                        movers.append(a)
                 stale = False
 
         # same operation order as value_mod + depth_adjusted, so results are
         # bit-identical to the public value pipeline
         val = n_cap / n_agents
-        if captured[self.planning_agent]:
+        if goal_at[pos[self.planning_agent]]:
             val -= params.alpha / n_agents
         val += (1.0 - node_time / t_final) / n_agents
         if shaping is not None and live:
@@ -445,21 +450,23 @@ def _verify_deltas(root: SearchRoot, path) -> None:
     """Cross-check the session's board against a pure domain-level replay.
 
     Debug aid for the delta bookkeeping: recomputes the leaf state by
-    folding each path delta through apply_move and compares every agent
-    position and capture flag against the board realized at the leaf.
+    folding each path delta through apply_move and compares the board
+    realized at the leaf, agent cells, locked goals and captured count,
+    against the board a fresh root builds from that state.
     """
     state = root.state
     for nd in path[1:]:
         state = apply_move(state, nd.agent, nd.move)
-    n = state.n
-    for i, (p, cap) in enumerate(zip(state.agent_pos, state.captured)):
-        flat = p.row * n + p.col
-        if root.pos[i] != flat or bool(root.captured[i]) != cap:
-            raise RuntimeError(
-                f"delta replay mismatch for agent {i}: scratch has cell "
-                f"{root.pos[i]} captured={bool(root.captured[i])}, domain replay "
-                f"has cell {flat} captured={cap}"
-            )
+
+    def board(r):
+        return r.pos, [c for c, v in enumerate(r.cap_at) if v], r.n_captured
+
+    want = board(SearchRoot(state, root.planning_agent, root.params))
+    if board(root) != want:
+        raise RuntimeError(
+            "delta replay mismatch: (cells, locked cells, captured count) is "
+            f"{board(root)} on the scratch board, {want} by domain replay"
+        )
 
 
 def best_action(root: SearchNode) -> Move:

@@ -4,8 +4,8 @@ Two independent implementations of the same question ("can every goal
 be captured within t steps, and how fast at best?") so each can check
 the other: a breadth-first sweep over joint states and an iterative
 deepening depth-first search with an admissible distance prune. The
-sweep runs on flat cells (r * n + c) with a capture bitmask and builds
-successors agent by agent, in the lexicographic order that
+sweep runs on flat cells (r * n + c), reads capture off the goal cells
+and builds successors agent by agent, in the lexicographic order that
 itertools.product gives; the deepening search expands Position tuples
 through _joint_successors, which enumerates with product itself, so
 the two share no successor code. Both use the coordinator's joint-move
@@ -112,12 +112,11 @@ def _joint_successors(n, goals, pos, cap):
 def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     """Breadth-first search over joint states; exact and minimal.
 
-    A state is the tuple of agent cells, flat as r * n + c, with a
-    capture bitmask (bit i set once agent i is captured). An agent is
+    A state is the tuple of agent cells, flat as r * n + c. An agent is
     captured exactly when its cell is a goal: live agents never stand
     on one, since stepping onto a free goal captures and locked goals
-    are impassable. So the cells alone key the visited table, and the
-    mask rides along in the frontier for expansion and the goal test.
+    are impassable. So the cells alone are the state, and a state is
+    solved when every cell is a goal.
 
     Successors are built agent by agent: every partial joint move is
     extended, in order, by the agent's in-bounds destinations in Move
@@ -146,27 +145,21 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     is_goal = bytearray(n * n)
     for g in goals:
         is_goal[g.row * n + g.col] = 1
-    bits = [1 << i for i in range(na)]
-    full = (1 << na) - 1
     start = tuple(p.row * n + p.col for p in starts)
     parent: dict = {start: None}
-    frontier = [(start, sum(b for b, c in zip(bits, cap0) if c))]
+    frontier = [start]
     for depth in range(t_final):
         level = []
-        for cells, mask in frontier:
+        for cells in frontier:
             partial = [()]
-            for cell, b in zip(cells, bits):
-                opts = (cell,) if mask & b else steps[cell][0]
+            for cell in cells:
+                opts = (cell,) if is_goal[cell] else steps[cell][0]
                 partial = [d + (q,) for d in partial for q in opts if q not in d]
             for dests in partial:
                 if dests in parent:
                     continue
                 parent[dests] = cells
-                new_mask = mask
-                for q, b in zip(dests, bits):
-                    if is_goal[q]:
-                        new_mask |= b
-                if new_mask == full:
+                if all(is_goal[q] for q in dests):
                     # walk the parent chain back to the start for the witness
                     chain = []
                     while parent[dests] is not None:
@@ -177,7 +170,7 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
                         dests = prev
                     chain.reverse()
                     return OracleResult(True, depth + 1, _per_agent(chain, na))
-                level.append((dests, new_mask))
+                level.append(dests)
         frontier = level
     return OracleResult(False, None, None)
 

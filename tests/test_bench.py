@@ -116,6 +116,24 @@ def test_sweep_points_sorted_and_aggregated():
         assert p.mean_makespan <= p.t_final
 
 
+def test_sweep_with_no_runs_has_no_points():
+    # as run_full_accuracy with no runs returns no records
+    assert run_time_accuracy_sweep(3, 1, [2], repeats=0, iterations=5) == []
+    assert run_time_accuracy_sweep(3, 1, [2, 4], instances=0, iterations=5) == []
+    assert run_full_accuracy([(3, 1)], instances=0, iterations=5) == []
+
+
+def test_timing_fields_are_floats_when_no_plan_round_runs():
+    # a zero horizon plans nothing; the timing columns still read as
+    # floats, as in every other run
+    rec = run_full_accuracy([(3, 1)], instances=1, iterations=5, t_final=0)[0]
+    times = (rec.total_time_s, rec.avg_agent_time_s, rec.max_agent_time_s)
+    assert all(type(x) is float and x == 0.0 for x in times)
+    row = dict(zip(CSV_FIELDS, rec.csv_row()))
+    assert [row[k] for k in ("total_time_s", "avg_agent_time_s", "max_agent_time_s")] == [
+        "0.0", "0.0", "0.0"]
+
+
 def test_sweep_worker_count_does_not_change_points():
     kw = dict(instances=2, repeats=2, iterations=60, master_seed=6)
     assert run_time_accuracy_sweep(4, 2, [8, 3, 5], **kw, workers=1) == (
@@ -292,7 +310,8 @@ def test_main_sweep_mode(tmp_path, capsys):
     assert code == 0
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
-    assert rows[0][0] == "t_final"
+    assert rows[0] == ["t_final", "runs", "mean_success_rate",
+                       "full_success_fraction", "mean_makespan"]
     assert [r[0] for r in rows[1:]] == ["3", "6", "9"]
     assert "t_final=9" in capsys.readouterr().err
 

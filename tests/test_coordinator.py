@@ -25,12 +25,9 @@ from gridmcts.scenarios import Instance, generate_instance
 from gridmcts.values import UpdateRule, ValueParams
 
 
-def mk(n, starts, goals, t=0, captured=None):
+def mk(n, starts, goals, t=0):
     starts = tuple(Position(*p) for p in starts)
-    goal_set = frozenset(Position(*p) for p in goals)
-    if captured is None:
-        captured = tuple(p in goal_set for p in starts)
-    return WorldState(n, t, starts, goal_set, captured)
+    return WorldState(n, t, starts, frozenset(Position(*p) for p in goals))
 
 
 def episode_config(n, n_agents, t_final, iterations=300, seed=0, alpha=0.5):

@@ -23,12 +23,9 @@ from gridmcts.grid import (
 # ---------------------------------------------------------------- helpers
 
 
-def make_state(n, starts, goals, captured=None, t=0):
+def make_state(n, starts, goals, t=0):
     starts = tuple(Position(*p) for p in starts)
-    goals = frozenset(Position(*p) for p in goals)
-    if captured is None:
-        captured = tuple(p in goals for p in starts)
-    return WorldState(n, t, starts, goals, tuple(captured))
+    return WorldState(n, t, starts, frozenset(Position(*p) for p in goals))
 
 
 @st.composite
@@ -91,11 +88,6 @@ def test_grid_config_rejects_bad_shapes(kwargs):
 # ------------------------------------------------------------- WorldState
 
 
-def test_state_rejects_captured_off_goal():
-    with pytest.raises(ValueError):
-        make_state(5, [(0, 0), (1, 1)], [(2, 2), (3, 3)], captured=(True, False))
-
-
 def test_state_rejects_negative_time():
     with pytest.raises(ValueError):
         make_state(5, [(0, 0)], [(2, 2)], t=-1)
@@ -114,7 +106,6 @@ def test_state_rejects_two_captured_on_one_goal():
             4, 0,
             (Position(1, 1), Position(1, 1)),
             frozenset({Position(1, 1), Position(2, 2)}),
-            (True, True),
         )
 
 
@@ -220,13 +211,6 @@ def test_apply_move_captures_on_goal_entry():
     s = make_state(5, [(2, 1)], [(2, 2)])
     s2 = apply_move(s, 0, Move.RIGHT)
     assert s2.agent_pos[0] == (2, 2)
-    assert s2.captured == (True,)
-
-
-def test_apply_stay_on_goal_captures():
-    # only reachable transiently: a live agent standing on a free goal
-    s = WorldState(5, 0, (Position(2, 2),), frozenset({Position(2, 2)}), (False,))
-    s2 = apply_move(s, 0, Move.STAY)
     assert s2.captured == (True,)
 
 

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from gridmcts.coordinator import EpisodeConfig, run_episode
+from gridmcts.coordinator import EpisodeConfig, merge_states, run_episode
 from gridmcts.grid import (
     GridConfig,
     Move,
@@ -17,6 +17,7 @@ from gridmcts.grid import (
 from gridmcts.mcts import (
     DEFAULT_EXPLORATION_C,
     SearchBudget,
+    SearchRoot,
     backpropagate,
     best_action,
     expand,
@@ -49,12 +50,9 @@ from reference import (
 )
 
 
-def mk(n, starts, goals, t=0, captured=None):
+def mk(n, starts, goals, t=0):
     starts = tuple(Position(*p) for p in starts)
-    goal_set = frozenset(Position(*p) for p in goals)
-    if captured is None:
-        captured = tuple(p in goal_set for p in starts)
-    return WorldState(n, t, starts, goal_set, captured)
+    return WorldState(n, t, starts, frozenset(Position(*p) for p in goals))
 
 
 def params_for(state, t_final, alpha=0.5, rule=UpdateRule.MEAN):
@@ -133,6 +131,25 @@ def test_root_validation():
         make_root(s, 1, params_for(s, 15))
     with pytest.raises(ValueError):
         make_root(s, 0, ValueParams(0.5, UpdateRule.MEAN, 2, 15))
+
+
+def test_root_board_locks_exactly_the_captured_goals():
+    # states reached by random legal joint steps, some with agents that
+    # start on a goal: the board locks the goals its agents stand on and
+    # counts them, with no per-agent flag to disagree
+    meta = Random(9004)
+    for _ in range(40):
+        n = meta.choice([3, 4, 5, 6])
+        na = meta.randint(1, min(5, n * n // 2))
+        cells = [Position(r, c) for r in range(n) for c in range(n)]
+        meta.shuffle(cells)
+        s = initial_state(GridConfig(n, na), cells[:na], meta.sample(cells[:2 * na], na))
+        for _ in range(meta.randrange(1, 6)):
+            root = make_root(s, 0, params_for(s, 3 * n))
+            locked = {Position(*divmod(c, n)) for c in range(n * n) if root.cap_at[c]}
+            assert locked == s.captured_cells()
+            assert root.n_captured == sum(s.captured)
+            s = merge_states(s, [meta.choice(legal_moves(s, a)) for a in range(na)])
 
 
 # ------------------------------------------------------------------ expand
@@ -360,6 +377,13 @@ def test_rollout_sample_matches_full_copy_reference():
         pairs += 1
 
 
+def test_playout_keeps_its_board_out_of_closure_cells():
+    # before CPython 3.12 a comprehension in _playout that read pos or
+    # goal_at would make them closure cells, and every read of them in
+    # the playout loop would go through an extra indirection
+    assert SearchRoot._playout.__code__.co_cellvars == ()
+
+
 # ----------------------------------------------------------- backpropagate
 
 
@@ -403,14 +427,10 @@ def test_max_update_never_decreases_along_path():
 
 
 def test_best_action_single_child():
-    s = mk(2, [(0, 0), (1, 1)], [(0, 1), (1, 0)], captured=(False, False))
-    # box agent 0 into a corner next to a locked goal: craft directly
-    s = WorldState(
-        2, 0,
-        (Position(0, 0), Position(0, 1), Position(1, 0), Position(1, 1)),
-        frozenset({Position(0, 1), Position(1, 0), Position(1, 1), Position(0, 0)}),
-        (False, True, True, True),
-    )
+    # agent 0 is boxed into a corner by agents 1 and 2, captured on the
+    # goals right of and below it; agent 3 is live beside them
+    s = mk(3, [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0), (2, 0), (2, 2)])
+    assert s.captured == (False, True, True, False)
     root = make_root(s, 0, ValueParams(0.5, UpdateRule.MEAN, 4, 15))
     expand(root)
     assert [c.move for c in root.children] == [Move.STAY]
@@ -618,8 +638,7 @@ def test_distance_term_uses_goal_walled_path_in_mp88_pocket():
     # around the top, not Manhattan 3.
     goals = generate_instance(8, 8, 1, 0).goals
     held = [g for g in goals if g != Position(7, 6)]
-    s = WorldState(8, 14, tuple(held) + (Position(6, 4),), frozenset(goals),
-                   (True,) * 7 + (False,))
+    s = WorldState(8, 14, tuple(held) + (Position(6, 4),), frozenset(goals))
     p0 = ValueParams(0.0, UpdateRule.MEAN, 8, 24)
     pw = dataclasses.replace(p0, distance_weight=0.5)
     root0, rootw = make_root(s, 7, p0), make_root(s, 7, pw)
@@ -726,8 +745,7 @@ def _captured_scenario(meta):
     starts = goals[:held] + cells[na : 2 * na - held]
     meta.shuffle(starts)
     tf = 3 * n
-    s = WorldState(n, meta.randrange(3), tuple(starts), frozenset(goals),
-                   tuple(p in goals for p in starts))
+    s = WorldState(n, meta.randrange(3), tuple(starts), frozenset(goals))
     p = ValueParams(meta.choice([0.0, 0.5, 1.0]),
                     meta.choice([UpdateRule.MEAN, UpdateRule.MAX]), na, tf)
     b = SearchBudget(meta.choice([8, 33, 64]), tf, meta.choice([0.5, 2**0.5]))
