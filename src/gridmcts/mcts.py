@@ -38,6 +38,9 @@ means Stay (always accepted), otherwise candidate ``nb[j]`` is accepted
 unless that cell is a locked goal, in which case the draw repeats.
 Rejection keeps the distribution exactly uniform over legal moves.
 Captured agents act deterministically and consume no randomness.
+The engine computes ``j`` with ``math.floor``, which equals ``int`` on
+the non-negative product. A live agent never stands on a goal, so its
+Stay cell is never locked: the engine refuses only locked neighbours.
 """
 from __future__ import annotations
 
@@ -239,8 +242,9 @@ class SearchRoot(SearchNode):
         bonus. The distance term, when shaping is on, is read from the
         evaluated node too, before the playout moves anyone.
 
-        Only live agents draw, so the loop walks a list of them. It is
-        rebuilt after a partial first turn and after any capture.
+        Only live agents draw, so the loop walks a list of them, in turn
+        order. After a partial first turn it is rebuilt from the full
+        order; after a turn with a capture the current list is filtered.
         """
         params = self.params
         t_final = params.t_final
@@ -252,6 +256,7 @@ class SearchRoot(SearchNode):
         steps = self.steps
         shaping = self.shaping
         n_cap = self.n_captured
+        floor = math.floor
 
         t, tp = divmod(depth, n_agents)
         t += self.state.t
@@ -277,32 +282,34 @@ class SearchRoot(SearchNode):
         for a in order[tp:]:
             if not goal_at[pos[a]]:
                 movers.append(a)
-        stale = tp != 0
+        partial = tp != 0
         while t < t_final:
+            captured = False
             for a in movers:
-                p = pos[a]
-                cells, m1 = steps[p]
-                while True:
-                    q = cells[int(rand() * m1)]
-                    if q == p or not cap_at[q]:
-                        break
+                # a mover stands on no goal, so only a locked neighbour,
+                # never Stay, is redrawn; floor equals int on this product
+                cells, m1 = steps[pos[a]]
+                q = cells[floor(rand() * m1)]
+                while cap_at[q]:
+                    q = cells[floor(rand() * m1)]
                 pos[a] = q
                 # q is legal here, so any goal it lands on is free
                 if goal_at[q]:
                     cap_at[q] = 1
                     n_cap += 1
-                    stale = True
+                    captured = True
             # an agent is captured only by its own draw, so the last live
             # agent is the last mover of the turn that captures everyone
             if n_cap == n_agents:
                 break
             t += 1
-            if stale:
+            if partial or captured:
+                kept = order if partial else movers
                 movers = []
-                for a in order:
+                for a in kept:
                     if not goal_at[pos[a]]:
                         movers.append(a)
-                stale = False
+                partial = False
 
         # same operation order as value_mod + depth_adjusted, so results are
         # bit-identical to the public value pipeline
@@ -369,26 +376,41 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     At each expanded node the child maximizing
     value + c * sqrt(ln(parent.visits) / child.visits) is taken; an
     unvisited child scores infinite and the first one in creation order
-    wins immediately. Ties go to the earliest child, which is canonical
-    move order.
+    wins. Ties go to the earliest child, which is canonical move order.
+
+    No score is computed where the rule has no choice: a lone child is
+    taken as it is, and when the last child is unvisited the first
+    unvisited one is taken. The rule itself visits children first in
+    creation order, so in a tree grown by SearchRoot.run the unvisited
+    children are always the last ones, and a node is scored only once
+    all its children have been visited. The scoring loop still stops at
+    an unvisited child, so a tree built by hand gets the same rule.
     """
     path = [root]
     node = root
     log = math.log
     sqrt = math.sqrt
     while node.children:
-        lp = log(node.visits) if node.visits > 0 else 0.0
-        best = None
-        best_score = -math.inf
-        for ch in node.children:
-            v = ch.visits
-            if v == 0:
-                best = ch
-                break
-            score = ch.value + exploration_c * sqrt(lp / v)
-            if score > best_score:
-                best_score = score
-                best = ch
+        kids = node.children
+        if not kids[-1].visits:
+            for best in kids:
+                if not best.visits:
+                    break
+        elif len(kids) == 1:
+            best = kids[0]
+        else:
+            lp = log(node.visits) if node.visits > 0 else 0.0
+            best = None
+            best_score = -math.inf
+            for ch in kids:
+                v = ch.visits
+                if v == 0:
+                    best = ch
+                    break
+                score = ch.value + exploration_c * sqrt(lp / v)
+                if score > best_score:
+                    best_score = score
+                    best = ch
         node = best
         path.append(node)
     return path

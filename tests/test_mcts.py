@@ -324,6 +324,84 @@ def test_select_matches_manual_uct():
     assert select(root, c)[1] is want
 
 
+def test_select_takes_the_first_unvisited_child_past_a_better_score():
+    s = mk(5, [(2, 2)], [(4, 4)])
+    root = make_root(s, 0, params_for(s, 15))
+    expand(root)
+    # scored among the visited children alone, child 1 would win
+    for child, v, k in zip(root.children, [0.1, 0.9, 0.5, 0.5, 0.5], [4, 2, 0, 0, 0]):
+        child.value, child.visits = v, k
+    root.visits = 6
+    assert select(root, 1.0) == [root, root.children[2]]
+
+
+def test_select_walks_lone_children_and_unvisited_tails_without_scoring(monkeypatch):
+    import gridmcts.mcts as M
+
+    # agents 0 and 1 hold goals, so the two levels below the root are
+    # lone Stay children; agent 2 then has five moves
+    s = mk(5, [(0, 0), (4, 4), (2, 2)], [(0, 0), (4, 4), (0, 4)])
+    root = make_root(s, 0, params_for(s, 15))
+    a = expand(root)
+    b = expand(a)
+    expand(b)
+    assert len(root.children) == len(a.children) == 1
+    for nd in (root, a, b, b.children[0]):
+        nd.value, nd.visits = 0.5, 6
+
+    def boom(*_):
+        raise AssertionError("select scored a node where the rule has no choice")
+
+    monkeypatch.setattr(M.math, "log", boom)
+    monkeypatch.setattr(M.math, "sqrt", boom)
+    assert select(root) == [root, a, b, b.children[1]]
+    monkeypatch.undo()
+    # once every child of b is visited, b is scored
+    for child, v in zip(b.children, [0.1, 0.2, 0.9, 0.3, 0.4]):
+        child.value, child.visits = v, 6
+    b.visits = 30
+    assert select(root, 0.0) == [root, a, b, b.children[2]]
+
+
+def _uct_child(node, c):
+    """The UCT rule spelled out plainly: score every child, an unvisited
+    one infinitely, and keep the first maximum."""
+    lp = math.log(node.visits) if node.visits > 0 else 0.0
+    scores = [
+        math.inf if ch.visits == 0 else ch.value + c * math.sqrt(lp / ch.visits)
+        for ch in node.children
+    ]
+    return node.children[scores.index(max(scores))]
+
+
+def test_select_equals_plain_uct_from_every_node_of_grown_trees():
+    meta = Random(9005)
+    # nodes seen with a lone child, an unvisited last child, all visited
+    kinds = [0, 0, 0]
+    for _ in range(16):
+        s, p, b, agent = _mixed_scenario(meta)
+        b = SearchBudget(meta.choice([64, 300]), b.t_final, b.exploration_c)
+        root = make_root(s, agent, p)
+        root.run(b, Random(meta.randrange(2**60)))
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if not node.children:
+                continue
+            stack.extend(node.children)
+            # children are first visited in creation order: the unvisited
+            # ones come last, which a stable sort on "unvisited" keeps
+            visits = [ch.visits for ch in node.children]
+            assert visits == sorted(visits, key=lambda v: v == 0)
+            kinds[0 if len(visits) == 1 else 1 if visits[-1] == 0 else 2] += 1
+            path = select(node, b.exploration_c)
+            want = [node]
+            while want[-1].children:
+                want.append(_uct_child(want[-1], b.exploration_c))
+            assert path == want
+    assert min(kinds) > 100, kinds
+
+
 # ----------------------------------------------------------------- rollout
 
 
@@ -753,6 +831,15 @@ def _captured_scenario(meta):
     return s, p, b, agent
 
 
+def _mixed_scenario(meta):
+    """_captured_scenario or _random_scenario, one in two each; the
+    planning agent of a random one may be captured."""
+    if meta.random() < 0.5:
+        return _captured_scenario(meta)
+    s, p, b = _random_scenario(meta)
+    return s, p, b, meta.randrange(s.n_agents)
+
+
 def test_plan_move_matches_reference_with_agents_captured_at_root():
     meta = Random(9001)
     for _ in range(30):
@@ -783,6 +870,48 @@ def test_tree_statistics_match_reference_with_agents_captured_at_root():
             grow_by_public_steps(root, b, Random(seed))
             diffs = compare_trees(ref.root, root)
             assert not diffs, diffs[:4]
+
+
+def test_rollout_leaves_the_rng_where_the_reference_does():
+    # an equal sample can hide a different number of draws; the RNG's end
+    # state cannot. Nodes are taken from grown trees, mid-turn ones and
+    # ones below a capture made inside the tree among them
+    meta = Random(9006)
+    mid_turn = captured_in_tree = 0
+    for _ in range(24):
+        s, p, b, agent = _mixed_scenario(meta)
+        p = dataclasses.replace(p, distance_weight=meta.choice([0.0, 0.5]))
+        root = make_root(s, agent, p)
+        root.run(b, Random(meta.randrange(2**60)))
+        tree = RefTree(s, agent, p)
+        for _ in range(8):
+            node, ref_node, depth = root, tree.root, 0
+            stop = meta.randrange(12)
+            while node.children and depth < stop:
+                i = meta.randrange(len(node.children))
+                if ref_node.children is None:
+                    ref_expand(tree, ref_node)
+                node, ref_node, depth = node.children[i], ref_node.children[i], depth + 1
+            mid_turn += depth % s.n_agents != 0
+            captured_in_tree += sum(ref_node.state.captured) > sum(s.captured)
+            seed = meta.randrange(2**60)
+            got_rng, want_rng = Random(seed), Random(seed)
+            assert rollout(node, got_rng) == ref_rollout(tree, ref_node, want_rng)
+            assert got_rng.getstate() == want_rng.getstate()
+    assert mid_turn > 20 and captured_in_tree > 5
+
+
+def test_plan_move_leaves_the_rng_where_the_reference_does():
+    meta = Random(9007)
+    for _ in range(20):
+        s, p, b, agent = _mixed_scenario(meta)
+        if s.captured[agent]:
+            continue
+        p = dataclasses.replace(p, distance_weight=meta.choice([0.0, 0.5]))
+        seed = meta.randrange(2**60)
+        got_rng, want_rng = Random(seed), Random(seed)
+        assert plan_move(s, agent, b, p, got_rng) == ref_plan_move(s, agent, b, p, want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_public_steps_leave_the_session_board_clean():
