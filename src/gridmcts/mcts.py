@@ -17,6 +17,13 @@ board is restored by slice assignment after every sample, so no N x N
 grid is ever rebuilt during search and nothing is undone step by step.
 plan_move and the public expand and rollout all run on that board.
 
+A node knows only its children, never its parent, so the tree is a
+downward-only structure owned by its root: it holds no reference cycle
+and reference counting frees all of it the moment the root is dropped,
+at the end of plan_move, with no work left for the cyclic collector.
+A node's depth, and the deltas above it, come from the path down to it
+that select returns; the public expand and rollout take that path.
+
 Leaf evaluation splits its inputs: the playout's final state supplies
 the outcome (captured count, planner's own-capture mark) while the
 remaining-time bonus is anchored to the evaluated node's own turn, so
@@ -107,12 +114,13 @@ class SearchNode:
     the move lands on. The root is a SearchRoot, which has no delta.
     Whose turn it is at a node, and the simulated time, follow from the
     node's depth (see the module docstring), so they are not stored.
+    A node knows only its children: the tree holds no back-pointer, so
+    it dies with its root, freed by reference count.
     """
 
-    __slots__ = ("parent", "agent", "move", "dest", "value", "visits", "children")
+    __slots__ = ("agent", "move", "dest", "value", "visits", "children")
 
-    def __init__(self, parent, agent, move, dest):
-        self.parent = parent
+    def __init__(self, agent, move, dest):
         self.agent = agent
         self.move = move
         self.dest = dest
@@ -151,7 +159,7 @@ class SearchRoot(SearchNode):
                  "moves", "steps", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
-        super().__init__(None, None, None, None)
+        super().__init__(None, None, None)
         self.state = state
         self.planning_agent = planning_agent
         self.params = params
@@ -216,12 +224,12 @@ class SearchRoot(SearchNode):
         act = order[tp]
         p = self.pos[act]
         if self.goal_at[p]:
-            kids = [SearchNode(leaf, act, Move.STAY, p)]
+            kids = [SearchNode(act, Move.STAY, p)]
         else:
             cap_at = self.cap_at
             # the playout's acceptance rule: Stay, or a cell that is not locked
             kids = [
-                SearchNode(leaf, act, mv, q)
+                SearchNode(act, mv, q)
                 for mv, q in zip(self.moves[p], self.steps[p][0])
                 if q == p or not cap_at[q]
             ]
@@ -359,15 +367,18 @@ def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> Se
     return SearchRoot(state, planning_agent, params)
 
 
-def _attach(node: SearchNode) -> tuple[SearchRoot, list[SearchNode]]:
-    """The root of `node`'s tree and the path below it down to `node`."""
-    chain = []
-    while node.parent is not None:
-        chain.append(node)
-        node = node.parent
-    if not isinstance(node, SearchRoot):
-        raise ValueError("node is not attached to a tree built by make_root")
-    return node, chain[::-1]
+def _path_root(path) -> SearchRoot:
+    """The root of `path`, a root-to-node path as select returns it.
+
+    Raises unless path[0] is a root built by make_root and every later
+    node is a child of the one before it.
+    """
+    if not path or not isinstance(path[0], SearchRoot):
+        raise ValueError("path does not start at a root built by make_root")
+    for up, nd in zip(path, path[1:]):
+        if nd not in (up.children or ()):
+            raise ValueError("path has a node that is not a child of the one before it")
+    return path[0]
 
 
 def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> list[SearchNode]:
@@ -416,30 +427,35 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     return path
 
 
-def expand(leaf: SearchNode) -> SearchNode:
-    """Expand a leaf in place; returns its first child.
+def expand(path: list[SearchNode]) -> SearchNode:
+    """Expand the leaf at the end of `path` in place; returns its first child.
 
-    Raises if the leaf is already expanded or terminal (board fully
-    captured or horizon reached). Runs on the root's board and resets it.
+    `path` runs from a root built by make_root down to the leaf, each
+    node a child of the one before it, as select returns it. Raises if
+    it does not, or if the leaf is already expanded or terminal (board
+    fully captured or horizon reached). Runs on the root's board and
+    resets it.
     """
+    root = _path_root(path)
+    leaf = path[-1]
     if leaf.expanded:
         raise ValueError("node is already expanded")
-    root, chain = _attach(leaf)
-    root._realize(chain)
-    first = root._grow(leaf, len(chain))
+    root._realize(path[1:])
+    first = root._grow(leaf, len(path) - 1)
     root._reset()
     if first is None:
         raise ValueError("cannot expand a terminal node")
     return first
 
 
-def rollout(node: SearchNode, rng: Random) -> float:
-    """Score one random playout from `node`'s state, up to the tree's own
-    horizon, on the root's board, then reset the board; the tree is
-    untouched."""
-    root, chain = _attach(node)
-    root._realize(chain)
-    value = root._playout(len(chain), rng.random)
+def rollout(path: list[SearchNode], rng: Random) -> float:
+    """Score one random playout from the state of the node at the end of
+    `path`, up to the tree's own horizon, on the root's board, then
+    reset the board; the tree is untouched. `path` is checked as for
+    expand."""
+    root = _path_root(path)
+    root._realize(path[1:])
+    value = root._playout(len(path) - 1, rng.random)
     root._reset()
     return value
 

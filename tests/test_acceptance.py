@@ -141,20 +141,21 @@ def test_criterion_04_delta_rollout_equals_reference():
         planner = meta.randrange(na)
         root = make_root(s, planner, p)
         tree = RefTree(s, planner, p)
-        node, ref_node = root, tree.root
+        path, ref_node = [root], tree.root
         # a third of the pairs descend first so the rollout replays a
         # delta chain instead of starting at the root state
         for _ in range(meta.choice([0, 0, meta.randrange(1, na + 2)])):
-            if node.children is None:
+            if path[-1].children is None:
                 try:
-                    expand(node)
+                    expand(path)
                 except ValueError:
                     break  # terminal node, roll out from here
                 ref_expand(tree, ref_node)
-            i = meta.randrange(len(node.children))
-            node, ref_node = node.children[i], ref_node.children[i]
+            i = meta.randrange(len(path[-1].children))
+            path.append(path[-1].children[i])
+            ref_node = ref_node.children[i]
         seed = meta.randrange(2**60)
-        got = rollout(node, Random(seed))
+        got = rollout(path, Random(seed))
         want = ref_rollout(tree, ref_node, Random(seed))
         if got != want:
             bad += 1

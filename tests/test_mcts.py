@@ -1,5 +1,6 @@
 """Tree search engine: structure, selection, rollouts, equivalence."""
 import dataclasses
+import gc
 import math
 from random import Random
 
@@ -17,6 +18,7 @@ from gridmcts.grid import (
 from gridmcts.mcts import (
     DEFAULT_EXPLORATION_C,
     SearchBudget,
+    SearchNode,
     SearchRoot,
     backpropagate,
     best_action,
@@ -59,17 +61,18 @@ def params_for(state, t_final, alpha=0.5, rule=UpdateRule.MEAN):
     return ValueParams(alpha, rule, state.n_agents, t_final)
 
 
-def exhaust(node, depth):
-    """Expand the whole tree `depth` levels deep; returns all nodes by level."""
-    levels = [[node]]
+def exhaust(root, depth):
+    """Expand the whole tree `depth` levels deep; returns the root-to-node
+    path of every node, by level."""
+    levels = [[[root]]]
     for _ in range(depth):
         nxt = []
-        for nd in levels[-1]:
+        for path in levels[-1]:
             try:
-                expand(nd)
+                expand(path)
             except ValueError:
                 continue  # terminal leaf
-            nxt.extend(nd.children)
+            nxt.extend(path + [ch] for ch in path[-1].children)
         levels.append(nxt)
     return levels
 
@@ -82,14 +85,11 @@ def grow_by_public_steps(root, budget, rng):
     """
     for _ in range(budget.iterations):
         path = select(root, budget.exploration_c)
-        leaf = path[-1]
         try:
-            leaf = expand(leaf)
+            path.append(expand(path))
         except ValueError as e:
             assert "terminal" in str(e), e
-        else:
-            path.append(leaf)
-        backpropagate(path, rollout(leaf, rng), root.params.update_rule)
+        backpropagate(path, rollout(path, rng), root.params.update_rule)
 
 
 # ------------------------------------------------------------ SearchBudget
@@ -118,11 +118,11 @@ def test_root_turn_order_planner_first():
     assert root.order == (1, 0, 2)
     assert not root.expanded
     # the levels below the root enumerate the agents in that order
-    node = root
+    path = [root]
     for agent in (1, 0, 2, 1):
-        expand(node)
-        assert {c.agent for c in node.children} == {agent}
-        node = node.children[0]
+        expand(path)
+        assert {c.agent for c in path[-1].children} == {agent}
+        path.append(path[-1].children[0])
 
 
 def test_root_validation():
@@ -158,7 +158,7 @@ def test_root_board_locks_exactly_the_captured_goals():
 def test_expand_one_child_per_legal_move():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    first = expand(root)
+    first = expand([root])
     assert root.expanded
     assert [c.move for c in root.children] == list(legal_moves(s, 0))
     assert first is root.children[0]
@@ -168,7 +168,7 @@ def test_expand_one_child_per_legal_move():
 def test_expand_corner_gives_three_children():
     s = mk(5, [(0, 0)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
+    expand([root])
     assert len(root.children) == 3
     assert [c.move for c in root.children] == [Move.DOWN, Move.RIGHT, Move.STAY]
 
@@ -176,9 +176,9 @@ def test_expand_corner_gives_three_children():
 def test_expand_captured_actor_single_stay_child():
     s = mk(5, [(0, 0), (2, 2)], [(2, 2), (4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)  # planner acts first, it is live
+    expand([root])  # planner acts first, it is live
     kid = root.children[0]
-    expand(kid)  # captured agent's turn
+    expand([root, kid])  # captured agent's turn
     assert [(c.agent, c.move) for c in kid.children] == [(1, Move.STAY)]
 
 
@@ -187,30 +187,67 @@ def test_turn_wrap_increments_sim_time_exactly_once():
     # depth 4, after two wraps, and not one level earlier or later
     s = mk(5, [(0, 0), (1, 1)], [(4, 4), (3, 3)], t=2)
     root = make_root(s, 0, params_for(s, 4))
-    node = root
+    path = [root]
     for _ in range(s.n_agents * 2):
-        node = expand(node)
+        path.append(expand(path))
     with pytest.raises(ValueError, match="terminal"):
-        expand(node)
+        expand(path)
 
 
 def test_expand_rejects_double_expansion():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
-    with pytest.raises(ValueError):
-        expand(root)
+    expand([root])
+    with pytest.raises(ValueError, match="already expanded"):
+        expand([root])
 
 
 def test_expand_rejects_terminal_nodes():
     done = mk(5, [(4, 4), (3, 3)], [(4, 4), (3, 3)])
     root = make_root(done, 0, params_for(done, 15))
-    with pytest.raises(ValueError):
-        expand(root)
+    with pytest.raises(ValueError, match="terminal"):
+        expand([root])
     out_of_time = mk(5, [(0, 0)], [(4, 4)], t=15)
     root2 = make_root(out_of_time, 0, params_for(out_of_time, 15))
-    with pytest.raises(ValueError):
-        expand(root2)
+    with pytest.raises(ValueError, match="terminal"):
+        expand([root2])
+
+
+def test_expand_and_rollout_reject_a_path_not_headed_by_a_root():
+    s = mk(5, [(2, 2), (0, 0)], [(4, 4), (0, 4)])
+    root = make_root(s, 0, params_for(s, 15))
+    kid = expand([root])
+    for bad in ([], [kid], [SearchNode(0, Move.STAY, 12)]):
+        with pytest.raises(ValueError, match="make_root"):
+            expand(bad)
+        rng = Random(0)
+        with pytest.raises(ValueError, match="make_root"):
+            rollout(bad, rng)
+        assert rng.getstate() == Random(0).getstate()
+    assert kid.children is None
+
+
+def test_expand_and_rollout_reject_a_path_that_is_not_a_chain_of_children():
+    s = mk(5, [(2, 2), (0, 0)], [(4, 4), (0, 4)])
+    root = make_root(s, 0, params_for(s, 15))
+    other = make_root(s, 0, params_for(s, 15))
+    a = expand([root])
+    b = expand([root, a])
+    o = expand([other])
+    broken = (
+        [root, b],  # skips a level
+        [root, o],  # a child of another root
+        [other, a],
+        [root, root.children[1], b],  # b's parent is a, not its sibling
+        [root, a, a],
+        [root, a, root],
+    )
+    for path in broken:
+        with pytest.raises(ValueError, match="not a child"):
+            expand(path)
+        with pytest.raises(ValueError, match="not a child"):
+            rollout(path, Random(0))
+    assert root.children[1].children is None and b.children is None
 
 
 def test_turn_completeness_along_paths():
@@ -219,13 +256,8 @@ def test_turn_completeness_along_paths():
     root = make_root(s, 2, params_for(s, 12))
     levels = exhaust(root, 7)
     # walk a handful of root-to-leaf paths
-    for leaf in levels[-1][:200:7]:
-        path = []
-        nd = leaf
-        while nd.parent is not None:
-            path.append(nd)
-            nd = nd.parent
-        path.reverse()
+    for leaf_path in levels[-1][:200:7]:
+        path = leaf_path[1:]
         for start in range(0, len(path) - 2, 3):
             turn = [p.agent for p in path[start : start + 3]]
             assert sorted(turn) == [0, 1, 2]
@@ -254,25 +286,21 @@ def test_no_duplicate_states_within_one_round_window():
     root = make_root(s, 0, params_for(s, 9))
     levels = exhaust(root, n_agents + 1)
 
-    def realize(node):
-        chain = []
-        while node.parent is not None:
-            chain.append((node.agent, node.dest))
-            node = node.parent
+    def realize(path):
         pos = {a: p.row * s.n + p.col for a, p in enumerate(s.agent_pos)}
-        for agent, dest in reversed(chain):
-            pos[agent] = dest
+        for nd in path[1:]:
+            pos[nd.agent] = nd.dest
         return tuple(sorted(pos.items()))
 
     for depth in range(1, n_agents + 1):
         seen = {}
-        for nd in levels[depth]:
-            key = realize(nd)
+        for path in levels[depth]:
+            key = realize(path)
             assert key not in seen, f"duplicate at depth {depth}"
-            seen[key] = nd
+            seen[key] = path
     # tightness: one round plus one level is exactly where stay/undo
     # cycles close, so duplicates must exist there
-    final = [realize(nd) for nd in levels[n_agents + 1]]
+    final = [realize(path) for path in levels[n_agents + 1]]
     assert len(set(final)) < len(final)
 
 
@@ -288,7 +316,7 @@ def test_select_unexpanded_root_is_single_node_path():
 def test_select_prefers_unvisited_children():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
+    expand([root])
     backpropagate([root, root.children[0]], 0.9, UpdateRule.MEAN)
     path = select(root, 1.0)
     assert path == [root, root.children[1]]  # first unvisited wins
@@ -297,7 +325,7 @@ def test_select_prefers_unvisited_children():
 def test_select_exploits_at_zero_c():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
+    expand([root])
     vals = [0.2, 0.8, 0.3, 0.1, 0.4]
     for child, v in zip(root.children, vals):
         child.value, child.visits = v, 1
@@ -309,7 +337,7 @@ def test_select_exploits_at_zero_c():
 def test_select_matches_manual_uct():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
+    expand([root])
     visits = [3, 1, 2, 5, 4]
     vals = [0.52, 0.61, 0.47, 0.55, 0.50]
     for child, v, k in zip(root.children, vals, visits):
@@ -327,7 +355,7 @@ def test_select_matches_manual_uct():
 def test_select_takes_the_first_unvisited_child_past_a_better_score():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
+    expand([root])
     # scored among the visited children alone, child 1 would win
     for child, v, k in zip(root.children, [0.1, 0.9, 0.5, 0.5, 0.5], [4, 2, 0, 0, 0]):
         child.value, child.visits = v, k
@@ -342,9 +370,9 @@ def test_select_walks_lone_children_and_unvisited_tails_without_scoring(monkeypa
     # lone Stay children; agent 2 then has five moves
     s = mk(5, [(0, 0), (4, 4), (2, 2)], [(0, 0), (4, 4), (0, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    a = expand(root)
-    b = expand(a)
-    expand(b)
+    a = expand([root])
+    b = expand([root, a])
+    expand([root, a, b])
     assert len(root.children) == len(a.children) == 1
     for nd in (root, a, b, b.children[0]):
         nd.value, nd.visits = 0.5, 6
@@ -408,8 +436,8 @@ def test_select_equals_plain_uct_from_every_node_of_grown_trees():
 def test_rollout_deterministic_under_fixed_seed():
     s = mk(5, [(0, 0), (3, 1)], [(4, 4), (1, 3)])
     root = make_root(s, 0, params_for(s, 15))
-    a = rollout(root, Random(99))
-    b = rollout(root, Random(99))
+    a = rollout([root], Random(99))
+    b = rollout([root], Random(99))
     assert a == b
     assert root.stats == NodeStats(0.0, 0)  # tree untouched
 
@@ -418,7 +446,7 @@ def test_rollout_on_all_captured_node_is_closed_form():
     s = mk(5, [(2, 2), (3, 3)], [(2, 2), (3, 3)], t=4)
     p = params_for(s, 15)
     root = make_root(s, 0, p)
-    got = rollout(root, Random(0))
+    got = rollout([root], Random(0))
     assert got == depth_adjusted(value_mod(2, True, p), 4, p)
 
 
@@ -426,8 +454,8 @@ def test_rollout_mark_is_planners_own_capture():
     # planner 1 is captured, planner 0 is not: same state, different mark
     s = mk(5, [(0, 0), (3, 3)], [(4, 4), (3, 3)], t=15)
     p = params_for(s, 15)
-    v0 = rollout(make_root(s, 0, p), Random(1))
-    v1 = rollout(make_root(s, 1, p), Random(1))
+    v0 = rollout([make_root(s, 0, p)], Random(1))
+    v1 = rollout([make_root(s, 1, p)], Random(1))
     # horizon is spent so both rollouts are empty: values differ by the
     # mark penalty alone
     assert v0 == depth_adjusted(value_mod(1, False, p), 15, p)
@@ -448,7 +476,7 @@ def test_rollout_sample_matches_full_copy_reference():
         p = ValueParams(meta.choice([0.0, 0.5, 1.0]), UpdateRule.MEAN, na, 3 * n)
         root = make_root(s, meta.randrange(na), p)
         seed = meta.randrange(2**60)
-        got = rollout(root, Random(seed))
+        got = rollout([root], Random(seed))
         tree = RefTree(s, root.planning_agent, p)
         want = ref_rollout(tree, tree.root, Random(seed))
         assert got == want
@@ -477,7 +505,7 @@ def test_backpropagate_bitwise_equals_update_value():
     for rule in UpdateRule:
         s = mk(5, [(2, 2)], [(4, 4)])
         root = make_root(s, 0, params_for(s, 15, rule=rule))
-        expand(root)
+        expand([root])
         node = root.children[0]
         mirror_root = NodeStats(0.0, 0)
         mirror_node = NodeStats(0.0, 0)
@@ -510,7 +538,7 @@ def test_best_action_single_child():
     s = mk(3, [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0), (2, 0), (2, 2)])
     assert s.captured == (False, True, True, False)
     root = make_root(s, 0, ValueParams(0.5, UpdateRule.MEAN, 4, 15))
-    expand(root)
+    expand([root])
     assert [c.move for c in root.children] == [Move.STAY]
     assert best_action(root) is Move.STAY
 
@@ -525,7 +553,7 @@ def test_best_action_requires_expansion():
 def test_best_action_tie_breaks_by_canonical_order():
     s = mk(5, [(2, 2)], [(4, 4)])
     root = make_root(s, 0, params_for(s, 15))
-    expand(root)
+    expand([root])
     for child, v in zip(root.children, [0.3, 0.9, 0.9, 0.1, 0.2]):
         child.value, child.visits = v, 1
     assert best_action(root) is Move.DOWN  # first of the tied pair
@@ -597,6 +625,57 @@ def test_root_visits_equal_iteration_budget():
     public = make_root(s, 0, p)
     grow_by_public_steps(public, budget, Random(11))
     assert public.visits == budget.iterations
+
+
+# ------------------------------------------------------------ tree lifetime
+
+
+def _cyclic_garbage(call):
+    """Objects the cyclic collector finds after `call`, run with it off.
+
+    A tree that held a reference cycle would outlive its plan until the
+    collector found it; a tree freed by reference count leaves nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("weight", [0.0, 0.5])
+@pytest.mark.parametrize("rule", list(UpdateRule))
+def test_plan_move_leaves_no_cyclic_garbage(rule, weight, debug):
+    inst = generate_instance(6, 4, 0, 0)
+    s = initial_state(inst.grid, inst.starts, inst.goals)
+    p = ValueParams(0.5, rule, 4, 18, distance_weight=weight)
+    b = SearchBudget(300, 18)
+    assert _cyclic_garbage(
+        lambda: plan_move(s, 0, b, p, Random(3), debug_check_deltas=debug)
+    ) == 0
+
+
+def test_episode_leaves_no_cyclic_garbage():
+    inst = generate_instance(6, 4, 0, 0)
+    assert _cyclic_garbage(lambda: run_episode(_episode(inst), inst)) == 0
+
+
+def test_a_deep_chain_of_nodes_is_freed_without_error():
+    # freeing a tree cascades by reference count, one nested
+    # deallocation per level; CPython's trashcan must bound the C stack
+    def build_and_drop():
+        head = node = SearchNode(0, Move.STAY, 0)
+        for _ in range(100_000 - 1):
+            node.children = [SearchNode(0, Move.STAY, 0)]
+            node = node.children[0]
+        del head, node
+
+    assert _cyclic_garbage(build_and_drop) == 0
 
 
 # ------------------------------------------------- engine <-> reference
@@ -675,7 +754,7 @@ def test_distance_weight_zero_returns_todays_sample():
         (0, 4): "0x1.f49f49f49f49fp-1",
     }
     for (agent, seed), hx in want.items():
-        got = rollout(make_root(s, agent, p), Random(seed))
+        got = rollout([make_root(s, agent, p)], Random(seed))
         assert got == float.fromhex(hx)
     assert ValueParams(0.5, UpdateRule.MEAN, 3, 15) == p  # 0 is the default
 
@@ -690,8 +769,8 @@ def test_distance_term_subtracts_less_than_one_capture_step():
         pw = dataclasses.replace(p0, distance_weight=0.99)
         planner = meta.randrange(s.n_agents)
         seed = meta.randrange(2**60)
-        plain = rollout(make_root(s, planner, p0), Random(seed))
-        shaped = rollout(make_root(s, planner, pw), Random(seed))
+        plain = rollout([make_root(s, planner, p0)], Random(seed))
+        shaped = rollout([make_root(s, planner, pw)], Random(seed))
         # the term draws no randomness: same playout, value shifted
         assert shaped == distance_adjusted(plain, ref_goal_distances(s), s.n, pw)
         assert 0 < plain - shaped < 1 / s.n_agents
@@ -705,7 +784,7 @@ def test_distance_term_subtracts_less_than_one_capture_step():
 def test_distance_term_vanishes_on_all_captured_node():
     s = mk(5, [(2, 2), (3, 3)], [(2, 2), (3, 3)], t=4)
     p = ValueParams(0.5, UpdateRule.MEAN, 2, 15, distance_weight=0.9)
-    got = rollout(make_root(s, 0, p), Random(0))
+    got = rollout([make_root(s, 0, p)], Random(0))
     assert got == depth_adjusted(value_mod(2, True, p), 4, p)
 
 
@@ -720,13 +799,13 @@ def test_distance_term_uses_goal_walled_path_in_mp88_pocket():
     p0 = ValueParams(0.0, UpdateRule.MEAN, 8, 24)
     pw = dataclasses.replace(p0, distance_weight=0.5)
     root0, rootw = make_root(s, 7, p0), make_root(s, 7, pw)
-    expand(root0)
-    expand(rootw)
+    expand([root0])
+    expand([rootw])
     walled = {Move.UP: 8, Move.DOWN: 10, Move.LEFT: 10, Move.RIGHT: 8, Move.STAY: 9}
     penalty = {}
     for c0, cw in zip(root0.children, rootw.children):
-        plain = rollout(c0, Random(3))
-        shaped = rollout(cw, Random(3))
+        plain = rollout([root0, c0], Random(3))
+        shaped = rollout([rootw, cw], Random(3))
         assert shaped == distance_adjusted(plain, [walled[cw.move]], 8, pw)
         penalty[cw.move] = plain - shaped
     # stepping down into the dead end costs more than climbing round,
@@ -749,20 +828,21 @@ def test_shaped_rollout_sample_matches_full_copy_reference():
         planner = meta.randrange(s.n_agents)
         root = make_root(s, planner, p)
         tree = RefTree(s, planner, p)
-        node, ref_node = root, tree.root
+        path, ref_node = [root], tree.root
         # descend a little so the term is read at a node that differs
         # from the root, captures made inside the tree included
         for _ in range(meta.choice([0, meta.randrange(1, 2 * s.n_agents + 2)])):
-            if node.children is None:
+            if path[-1].children is None:
                 try:
-                    expand(node)
+                    expand(path)
                 except ValueError:
                     break
                 ref_expand(tree, ref_node)
-            i = meta.randrange(len(node.children))
-            node, ref_node = node.children[i], ref_node.children[i]
+            i = meta.randrange(len(path[-1].children))
+            path.append(path[-1].children[i])
+            ref_node = ref_node.children[i]
         seed = meta.randrange(2**60)
-        assert rollout(node, Random(seed)) == ref_rollout(tree, ref_node, Random(seed))
+        assert rollout(path, Random(seed)) == ref_rollout(tree, ref_node, Random(seed))
         pairs += 1
 
 
@@ -885,18 +965,20 @@ def test_rollout_leaves_the_rng_where_the_reference_does():
         root.run(b, Random(meta.randrange(2**60)))
         tree = RefTree(s, agent, p)
         for _ in range(8):
-            node, ref_node, depth = root, tree.root, 0
+            path, ref_node = [root], tree.root
             stop = meta.randrange(12)
-            while node.children and depth < stop:
-                i = meta.randrange(len(node.children))
+            while path[-1].children and len(path) - 1 < stop:
+                i = meta.randrange(len(path[-1].children))
                 if ref_node.children is None:
                     ref_expand(tree, ref_node)
-                node, ref_node, depth = node.children[i], ref_node.children[i], depth + 1
+                path.append(path[-1].children[i])
+                ref_node = ref_node.children[i]
+            depth = len(path) - 1
             mid_turn += depth % s.n_agents != 0
             captured_in_tree += sum(ref_node.state.captured) > sum(s.captured)
             seed = meta.randrange(2**60)
             got_rng, want_rng = Random(seed), Random(seed)
-            assert rollout(node, got_rng) == ref_rollout(tree, ref_node, want_rng)
+            assert rollout(path, got_rng) == ref_rollout(tree, ref_node, want_rng)
             assert got_rng.getstate() == want_rng.getstate()
     assert mid_turn > 20 and captured_in_tree > 5
 
@@ -932,15 +1014,16 @@ def test_public_steps_leave_the_session_board_clean():
         one = SearchBudget(1, b.t_final, b.exploration_c)
         for _ in range(b.iterations):
             root.run(one, rng)
-            node = root
-            while node.children and side.random() < 0.85:
-                node = side.choice(node.children)
-            rollout(node, side)
+            path = [root]
+            while path[-1].children and side.random() < 0.85:
+                path.append(side.choice(path[-1].children))
+            rollout(path, side)
             # the session expands every leaf it selects unless it is
             # terminal, so a leaf visited twice is terminal
+            node = path[-1]
             if node.children is None and node.visits >= 2:
                 with pytest.raises(ValueError, match="terminal"):
-                    expand(node)
+                    expand(path)
                 rejected += 1
         diffs = compare_trees(ref_plan_tree(s, agent, b, p, Random(seed)).root, root)
         assert not diffs, diffs[:4]
