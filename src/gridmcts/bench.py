@@ -23,6 +23,7 @@ import argparse
 import csv
 import math
 import multiprocessing
+import os
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
@@ -144,13 +145,23 @@ def _execute_task(task) -> RunRecord:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(tasks, workers: int) -> list[RunRecord]:
     """Records of every task, in task order: played in-process, or
-    through one pool of at most one process per task. chunksize=1 deals
-    out one episode at a time, so no worker gets a batch of long ones.
+    through one pool of at most one process per task and per usable CPU.
+    chunksize=1 deals out one episode at a time, so no worker gets a
+    batch of long ones.
     """
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+    processes = min(workers, len(tasks), _usable_cpus())
+    if processes > 1:
+        with multiprocessing.Pool(processes=processes) as pool:
             return pool.map(_execute_task, tasks, chunksize=1)
     return [_execute_task(t) for t in tasks]
 
@@ -325,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="CSV",
                    help="write CSV here (default stdout)")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes (default 1)")
+                   help="worker processes, at most one per run and per usable CPU "
+                        "(default 1)")
     return p
 
 

@@ -9,13 +9,15 @@ where t is the root state's clock. Nodes store no clock of their own. The
 searcher models everyone but only the root move of the planning agent is
 ever executed; the coordinator merges the independently chosen moves.
 
-Node deltas, not full states: every node stores only (agent, move). The
+Node deltas, not full states: a node stores only (agent, move, dest). The
 root is the search session: it owns one mutable scratch board and
 realizes a node's state by applying the deltas on its path to it. The
 playout then mutates the same board in place, and a snapshot of the root
 board is restored by slice assignment after every sample, so no N x N
 grid is ever rebuilt during search and nothing is undone step by step.
-plan_move and the public expand and rollout all run on that board.
+plan_move and the public expand and rollout all run on that board. Its
+one check is the full-copy twin in tests/reference.py, which builds the
+same trees from whole WorldStates and must match them bit for bit.
 
 A node knows only its children, never its parent, so the tree is a
 downward-only structure owned by its root: it holds no reference cycle
@@ -59,7 +61,6 @@ from random import Random
 from .grid import (
     Move,
     WorldState,
-    apply_move,
     cell_tables,
     goal_walled_distances,
     is_terminal,
@@ -330,7 +331,7 @@ class SearchRoot(SearchNode):
             val -= w * dist_sum / (live * cap) / n_agents
         return val
 
-    def run(self, budget: SearchBudget, rng: Random, debug_check_deltas: bool = False) -> None:
+    def run(self, budget: SearchBudget, rng: Random) -> None:
         """Run budget.iterations search iterations on this tree.
 
         Each iteration selects a leaf, realizes it on the board, expands
@@ -350,8 +351,6 @@ class SearchRoot(SearchNode):
             if child is not None:
                 path.append(child)
                 self._realize((child,))
-            if debug_check_deltas:
-                _verify_deltas(self, path)
             backpropagate(path, self._playout(len(path) - 1, rand), rule)
             self._reset()
 
@@ -484,29 +483,6 @@ def backpropagate(path: list[SearchNode], value: float, rule: UpdateRule) -> Non
         raise ValueError(f"unknown update rule {rule!r}")
 
 
-def _verify_deltas(root: SearchRoot, path) -> None:
-    """Cross-check the session's board against a pure domain-level replay.
-
-    Debug aid for the delta bookkeeping: recomputes the leaf state by
-    folding each path delta through apply_move and compares the board
-    realized at the leaf, agent cells, locked goals and captured count,
-    against the board a fresh root builds from that state.
-    """
-    state = root.state
-    for nd in path[1:]:
-        state = apply_move(state, nd.agent, nd.move)
-
-    def board(r):
-        return r.pos, [c for c, v in enumerate(r.cap_at) if v], r.n_captured
-
-    want = board(SearchRoot(state, root.planning_agent, root.params))
-    if board(root) != want:
-        raise RuntimeError(
-            "delta replay mismatch: (cells, locked cells, captured count) is "
-            f"{board(root)} on the scratch board, {want} by domain replay"
-        )
-
-
 def best_action(root: SearchNode) -> Move:
     """Highest-valued root move.
 
@@ -531,8 +507,6 @@ def plan_move(
     budget: SearchBudget,
     params: ValueParams,
     rng: Random,
-    *,
-    debug_check_deltas: bool = False,
 ) -> Move:
     """Choose the planning agent's next move by tree search.
 
@@ -540,10 +514,8 @@ def plan_move(
     backpropagate on a fresh tree rooted at `state`, then returns the
     best root move. A captured planning agent short-circuits to Stay
     without consuming any randomness. Raises on a terminal state or if
-    budget and params disagree about the horizon or population.
-    debug_check_deltas re-derives every realized leaf state through the
-    domain layer and fails loudly on any divergence; it is far too slow
-    for benchmarking but priceless when touching the scratch board.
+    budget and params disagree about the horizon or population. The
+    scratch board is checked only by the twin in tests/reference.py.
     """
     root = make_root(state, planning_agent, params)
     if budget.t_final != params.t_final:
@@ -554,5 +526,5 @@ def plan_move(
         return Move.STAY
     if is_terminal(state, budget.t_final):
         raise ValueError("cannot plan from a terminal state")
-    root.run(budget, rng, debug_check_deltas)
+    root.run(budget, rng)
     return best_action(root)

@@ -140,9 +140,10 @@ def test_sweep_worker_count_does_not_change_points():
         run_time_accuracy_sweep(4, 2, [8, 3, 5], **kw, workers=2))
 
 
-def test_one_pool_of_at_most_one_process_per_run(monkeypatch):
-    # a stand-in pool that records its size and maps in-process, so no
-    # process starts
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Sizes of the pools built, through a stand-in pool that maps
+    in-process, so no process starts whatever size is asked for."""
     built = []
 
     class FakePool:
@@ -159,6 +160,12 @@ def test_one_pool_of_at_most_one_process_per_run(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(bench.multiprocessing, "Pool", FakePool)
+    return built
+
+
+def test_one_pool_of_at_most_one_process_per_run(monkeypatch, fake_pool):
+    built = fake_pool
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 64)
     assert len(run_full_accuracy([(3, 1)], instances=2, iterations=5, workers=64)) == 2
     assert built == [2]
     built.clear()
@@ -168,6 +175,29 @@ def test_one_pool_of_at_most_one_process_per_run(monkeypatch):
     built.clear()
     assert len(run_full_accuracy([(3, 1)], instances=1, iterations=5, workers=64)) == 1
     assert built == []
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, fake_pool):
+    built = fake_pool
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
+    records = run_full_accuracy([(3, 1)], instances=5, iterations=5, workers=5000)
+    assert [r.instance_index for r in records] == [0, 1, 2, 3, 4]
+    assert built == [3]
+    built.clear()
+    # one usable CPU plays in-process, however many workers are asked for
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    assert len(run_full_accuracy([(3, 1)], instances=5, iterations=5, workers=5000)) == 5
+    assert built == []
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert bench._usable_cpus() == 3
+    monkeypatch.delattr(bench.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 7)
+    assert bench._usable_cpus() == 7
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+    assert bench._usable_cpus() == 1
 
 
 # --------------------------------------------------------------------- CLI
