@@ -9,6 +9,16 @@ where t is the root state's clock. Nodes store no clock of their own. The
 searcher models everyone but only the root move of the planning agent is
 ever executed; the coordinator merges the independently chosen moves.
 
+A Stay-only level, one whose acting agent stands on a goal and so can
+only stay, gets no node: it is counted on the node above it (its
+``stays``), and a node's depth is the number of nodes above it on its
+path plus all their counts. A forced Stay moves nobody and draws no
+randomness, and a lone child's value is never read, so the tree makes
+the same choices as one with a node per level. The one statistic such a
+node would carry that is read, its visit count as the UCT parent count
+of the live level below it, is the node's visits minus ``stay_visits``,
+its visits when its last level was counted.
+
 Node deltas, not full states: a node stores only (agent, move, dest). The
 root is the search session: it owns one mutable scratch board and
 realizes a node's state by applying the deltas on its path to it. The
@@ -115,11 +125,18 @@ class SearchNode:
     the move lands on. The root is a SearchRoot, which has no delta.
     Whose turn it is at a node, and the simulated time, follow from the
     node's depth (see the module docstring), so they are not stored.
+    `stays` counts the Stay-only levels directly below the node, which
+    get no node of their own; its children, if any, act on the first
+    level after them. `stay_visits` is the node's visit count when its
+    last Stay-only level was counted, so visits - stay_visits is the
+    UCT parent count of its children: the visits the bottom Stay level
+    would hold. Both stay 0 on a node with no such level below it.
     A node knows only its children: the tree holds no back-pointer, so
     it dies with its root, freed by reference count.
     """
 
-    __slots__ = ("agent", "move", "dest", "value", "visits", "children")
+    __slots__ = ("agent", "move", "dest", "value", "visits", "children",
+                 "stays", "stay_visits")
 
     def __init__(self, agent, move, dest):
         self.agent = agent
@@ -128,6 +145,8 @@ class SearchNode:
         self.value = 0.0
         self.visits = 0
         self.children = None
+        self.stays = 0
+        self.stay_visits = 0
 
     @property
     def stats(self) -> NodeStats:
@@ -187,58 +206,67 @@ class SearchRoot(SearchNode):
         self.pos[:] = pos
         self.cap_at[:] = cap_at
 
-    def _realize(self, nodes) -> None:
-        """Apply the deltas of `nodes`, in order, to the scratch board.
+    def _realize(self, nodes) -> int:
+        """Apply the deltas of `nodes`, the path below the root in order,
+        to the scratch board; returns the depth the board now stands at:
+        one level per node plus the Stay-only levels counted on the root
+        and on every node.
 
         Mirrors grid.apply_move: landing on a free goal pins the agent and
-        locks the goal. A captured agent's only move is Stay on its own,
-        already locked goal. The engine's only way from tree to board.
+        locks the goal. A counted Stay-only level moves nobody. The
+        engine's only way from tree to board.
         """
         pos = self.pos
         goal_at = self.goal_at
         cap_at = self.cap_at
         n_cap = self.n_captured
+        depth = self.stays + len(nodes)
         for nd in nodes:
             q = nd.dest
             if goal_at[q] and not cap_at[q]:
                 cap_at[q] = 1
                 n_cap += 1
             pos[nd.agent] = q
+            depth += nd.stays
         self.n_captured = n_cap
+        return depth
 
     def _grow(self, leaf: SearchNode, depth: int):
-        """Create all children of `leaf`, `depth` levels below the root,
-        given the board realized at it.
+        """Grow `leaf` by one level, the one below `depth`, given the board
+        realized at that depth.
 
-        One child per legal move of the acting agent, in canonical move
-        order (a captured agent gets the single Stay child). Returns the
-        first child, or None, leaving `leaf` a leaf, if it is terminal:
-        board fully captured or horizon reached.
+        Returns None, leaving `leaf` as it is, if the board is terminal:
+        fully captured or horizon reached. If the acting agent stands on
+        a goal, the level is Stay-only: it is counted on `leaf`, which
+        records its visits, and `leaf` itself is returned. Otherwise `leaf`
+        gets one child per legal move of the acting agent, in canonical
+        move order, and the first child is returned.
         """
         order = self.order
         turns, tp = divmod(depth, len(order))
-        # tp > 0 implies the horizon is not reached: a mid-turn node shares
-        # its turn with the node above it, and only non-terminal nodes get
-        # expanded
+        # tp > 0 implies the horizon is not reached: a mid-turn level shares
+        # its turn with the level above it, and only non-terminal levels
+        # grow
         if self.n_captured == len(order) or self.state.t + turns >= self.params.t_final:
             return None
         act = order[tp]
         p = self.pos[act]
         if self.goal_at[p]:
-            kids = [SearchNode(act, Move.STAY, p)]
-        else:
-            cap_at = self.cap_at
-            # the playout's acceptance rule: Stay, or a cell that is not locked
-            kids = [
-                SearchNode(act, mv, q)
-                for mv, q in zip(self.moves[p], self.steps[p][0])
-                if q == p or not cap_at[q]
-            ]
+            leaf.stays += 1
+            leaf.stay_visits = leaf.visits
+            return leaf
+        cap_at = self.cap_at
+        # the playout's acceptance rule: Stay, or a cell that is not locked
+        kids = [
+            SearchNode(act, mv, q)
+            for mv, q in zip(self.moves[p], self.steps[p][0])
+            if q == p or not cap_at[q]
+        ]
         leaf.children = kids
         return kids[0]
 
     def _playout(self, depth: int, rand) -> float:
-        """Random playout from the board realized at the node at `depth`;
+        """Random playout from the board realized at level `depth`;
         returns the sample.
 
         Plays the board forward in place and leaves it at the playout's end;
@@ -334,9 +362,10 @@ class SearchRoot(SearchNode):
     def run(self, budget: SearchBudget, rng: Random) -> None:
         """Run budget.iterations search iterations on this tree.
 
-        Each iteration selects a leaf, realizes it on the board, expands
-        it unless it is terminal, rolls out from its first child (or from
-        the terminal leaf), backs the sample up the path and resets the
+        Each iteration selects a leaf, realizes it on the board, grows it
+        by one level unless it is terminal, rolls out from that level
+        (its first child, or the Stay-only level counted on it) or from
+        the terminal leaf, backs the sample up the path and resets the
         board. select and backpropagate are looked up as module globals
         at call time, so a tracer that rebinds them sees every step.
         budget.t_final must equal params.t_final; plan_move checks it.
@@ -346,12 +375,15 @@ class SearchRoot(SearchNode):
         rand = rng.random
         for _ in range(budget.iterations):
             path = select(self, c)
-            self._realize(path[1:])
-            child = self._grow(path[-1], len(path) - 1)
+            depth = self._realize(path[1:])
+            leaf = path[-1]
+            child = self._grow(leaf, depth)
             if child is not None:
-                path.append(child)
-                self._realize((child,))
-            backpropagate(path, self._playout(len(path) - 1, rand), rule)
+                depth += 1
+                if child is not leaf:
+                    path.append(child)
+                    self._realize((child,))
+            backpropagate(path, self._playout(depth, rand), rule)
             self._reset()
 
 
@@ -384,9 +416,12 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     """Walk from the root to a leaf by the UCT rule; returns the path.
 
     At each expanded node the child maximizing
-    value + c * sqrt(ln(parent.visits) / child.visits) is taken; an
+    value + c * sqrt(ln(parent count) / child.visits) is taken; an
     unvisited child scores infinite and the first one in creation order
     wins. Ties go to the earliest child, which is canonical move order.
+    The parent count is node.visits - node.stay_visits: the node's own
+    visits, or, below counted Stay-only levels, the visits of the last
+    of them (see SearchNode).
 
     No score is computed where the rule has no choice: a lone child is
     taken as it is, and when the last child is unvisited the first
@@ -409,7 +444,8 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
         elif len(kids) == 1:
             best = kids[0]
         else:
-            lp = log(node.visits) if node.visits > 0 else 0.0
+            nv = node.visits - node.stay_visits
+            lp = log(nv) if nv > 0 else 0.0
             best = None
             best_score = -math.inf
             for ch in kids:
@@ -427,20 +463,24 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
 
 
 def expand(path: list[SearchNode]) -> SearchNode:
-    """Expand the leaf at the end of `path` in place; returns its first child.
+    """Grow the leaf at the end of `path` by one level in place; returns
+    its first child, or the leaf itself if the level is Stay-only.
 
-    `path` runs from a root built by make_root down to the leaf, each
-    node a child of the one before it, as select returns it. Raises if
-    it does not, or if the leaf is already expanded or terminal (board
-    fully captured or horizon reached). Runs on the root's board and
-    resets it.
+    The level is the one below the leaf's depth, which counts the nodes
+    above the leaf and the Stay-only levels counted on them and on the
+    leaf. A Stay-only level, whose acting agent stands on a goal, is
+    counted on the leaf instead of becoming a node; the leaf stays a
+    leaf, one level deeper. `path` runs from a root built by make_root
+    down to the leaf, each node a child of the one before it, as select
+    returns it. Raises if it does not, or if the leaf is already
+    expanded or terminal (board fully captured or horizon reached). Runs
+    on the root's board and resets it.
     """
     root = _path_root(path)
     leaf = path[-1]
     if leaf.expanded:
         raise ValueError("node is already expanded")
-    root._realize(path[1:])
-    first = root._grow(leaf, len(path) - 1)
+    first = root._grow(leaf, root._realize(path[1:]))
     root._reset()
     if first is None:
         raise ValueError("cannot expand a terminal node")
@@ -449,12 +489,11 @@ def expand(path: list[SearchNode]) -> SearchNode:
 
 def rollout(path: list[SearchNode], rng: Random) -> float:
     """Score one random playout from the state of the node at the end of
-    `path`, up to the tree's own horizon, on the root's board, then
-    reset the board; the tree is untouched. `path` is checked as for
-    expand."""
+    `path`, below the Stay-only levels counted on it, up to the tree's
+    own horizon, on the root's board, then reset the board; the tree is
+    untouched. `path` is checked as for expand."""
     root = _path_root(path)
-    root._realize(path[1:])
-    value = root._playout(len(path) - 1, rng.random)
+    value = root._playout(root._realize(path[1:]), rng.random)
     root._reset()
     return value
 

@@ -6,7 +6,10 @@ implementation shares no state-mutation code with gridmcts.mcts. Values
 are computed only through the public functions in gridmcts.values. It
 consumes randomness with the exact same draw sequence as the engine
 (rollout-only, rejection sampling over in-bounds neighbors), which makes
-move choices and tree statistics comparable bit for bit.
+move choices and tree statistics comparable bit for bit. The twin gives
+every tree level a node, a captured agent's forced Stay included, where
+the engine counts such a level on the node above it; compare_trees and
+ref_node_at map the one tree onto the other.
 
 The optional goal-distance leaf term is computed here from scratch too:
 a forward search per live agent through legal_moves and apply_move
@@ -276,6 +279,26 @@ def ref_plan_tree(state, planning_agent, budget, params, rng) -> RefTree:
     return tree
 
 
+def ref_node_at(tree: RefTree, path) -> RefNode:
+    """The twin's node at the level where the engine `path` ends.
+
+    Follows `path` child by child, then, below each engine node, the lone
+    Stay child of every Stay-only level counted on it, expanding twin
+    nodes where the walk needs them.
+    """
+    r = tree.root
+    for i, nd in enumerate(path):
+        if i:
+            if r.children is None:
+                ref_expand(tree, r)
+            r = r.children[path[i - 1].children.index(nd)]
+        for _ in range(nd.stays):
+            if r.children is None:
+                ref_expand(tree, r)
+            r = r.children[0]
+    return r
+
+
 def compare_trees(ref_node: RefNode, node) -> list[str]:
     """Structural and statistical diff between reference and engine trees.
 
@@ -284,29 +307,52 @@ def compare_trees(ref_node: RefNode, node) -> list[str]:
     counts node for node). Engine nodes store no clock, so the twin's
     stored clock at depth d is checked against the one the engine derives
     from depth: turn position d % n_agents of turn t + d // n_agents.
+
+    The twin gives a Stay-only level, one whose acting agent is captured,
+    its lone Stay node; the engine counts the level on the node above it.
+    So each chain of such levels below a twin node is collapsed onto the
+    matching engine node: its `stays` must equal the chain's length and
+    its `stay_visits` the node's visits minus those of the chain's bottom
+    node. The bottom's clock is checked at the depth it lies at, and its
+    children are compared with the engine node's.
     """
     diffs: list[str] = []
     t0, n_agents = ref_node.state.t, ref_node.state.n_agents
+
+    def clock_diff(r, trail, depth):
+        clock = (depth % n_agents, t0 + depth // n_agents)
+        if (r.turn_pos, r.sim_time) != clock:
+            diffs.append(f"{trail}: clock ({r.turn_pos},{r.sim_time}) != {clock}")
 
     def walk(r, e, trail, depth):
         if (r.agent, r.move) != (e.agent, e.move):
             diffs.append(f"{trail}: delta ({r.agent},{r.move}) != ({e.agent},{e.move})")
             return
-        clock = (depth % n_agents, t0 + depth // n_agents)
-        if (r.turn_pos, r.sim_time) != clock:
-            diffs.append(f"{trail}: clock ({r.turn_pos},{r.sim_time}) != {clock}")
+        clock_diff(r, trail, depth)
         if r.stats.visits != e.visits or r.stats.value != e.value:
             diffs.append(
                 f"{trail}: stats ({r.stats.value!r},{r.stats.visits}) != "
                 f"({e.value!r},{e.visits})"
             )
-        rk = r.children or []
+        bottom, stays = r, 0
+        while bottom.children and bottom.state.captured[bottom.acting_agent]:
+            bottom = bottom.children[0]
+            stays += 1
+        if stays:
+            clock_diff(bottom, f"{trail}+{stays}", depth + stays)
+        if (e.stays, e.stay_visits) != (stays, r.stats.visits - bottom.stats.visits):
+            diffs.append(
+                f"{trail}: stays ({stays},{r.stats.visits - bottom.stats.visits}) != "
+                f"({e.stays},{e.stay_visits})"
+            )
+            return
+        rk = bottom.children or []
         ek = e.children or []
         if len(rk) != len(ek):
             diffs.append(f"{trail}: {len(rk)} children != {len(ek)}")
             return
         for i, (rc, ec) in enumerate(zip(rk, ek)):
-            walk(rc, ec, f"{trail}.{i}", depth + 1)
+            walk(rc, ec, f"{trail}.{i}", depth + stays + 1)
 
     walk(ref_node, node, "root", 0)
     return diffs

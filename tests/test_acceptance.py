@@ -43,7 +43,7 @@ from gridmcts.values import (
     value_naive,
 )
 
-from reference import RefTree, ref_expand, ref_rollout
+from reference import RefTree, ref_node_at, ref_rollout
 
 SUITES = [(5, 2), (5, 5), (8, 4), (8, 8), (10, 5), (10, 10)]
 
@@ -141,22 +141,22 @@ def test_criterion_04_delta_rollout_equals_reference():
         planner = meta.randrange(na)
         root = make_root(s, planner, p)
         tree = RefTree(s, planner, p)
-        path, ref_node = [root], tree.root
+        path = [root]
         # a third of the pairs descend first so the rollout replays a
-        # delta chain instead of starting at the root state
+        # delta chain instead of starting at the root state; a Stay-only
+        # level, counted on the leaf, is a step down too
         for _ in range(meta.choice([0, 0, meta.randrange(1, na + 2)])):
             if path[-1].children is None:
                 try:
-                    expand(path)
+                    if expand(path) is path[-1]:
+                        continue
                 except ValueError:
                     break  # terminal node, roll out from here
-                ref_expand(tree, ref_node)
             i = meta.randrange(len(path[-1].children))
             path.append(path[-1].children[i])
-            ref_node = ref_node.children[i]
         seed = meta.randrange(2**60)
         got = rollout(path, Random(seed))
-        want = ref_rollout(tree, ref_node, Random(seed))
+        want = ref_rollout(tree, ref_node_at(tree, path), Random(seed))
         if got != want:
             bad += 1
         pairs += 1

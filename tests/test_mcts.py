@@ -5,6 +5,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmcts.coordinator import EpisodeConfig, merge_states, run_episode
 from gridmcts.grid import (
@@ -42,8 +44,8 @@ from gridmcts.scenarios import generate_instance
 
 from reference import (
     compare_trees,
-    ref_expand,
     ref_goal_distances,
+    ref_node_at,
     ref_plan_move,
     ref_plan_tree,
     ref_rollout,
@@ -62,17 +64,22 @@ def params_for(state, t_final, alpha=0.5, rule=UpdateRule.MEAN):
 
 
 def exhaust(root, depth):
-    """Expand the whole tree `depth` levels deep; returns the root-to-node
-    path of every node, by level."""
+    """Grow the whole tree `depth` levels deep; returns, by level, the
+    root-to-node path that stands at each position of that level. A leaf
+    whose Stay-only level was counted stands one level deeper on the same
+    path."""
     levels = [[[root]]]
     for _ in range(depth):
         nxt = []
         for path in levels[-1]:
             try:
-                expand(path)
+                first = expand(path)
             except ValueError:
                 continue  # terminal leaf
-            nxt.extend(path + [ch] for ch in path[-1].children)
+            if first is path[-1]:
+                nxt.append(path)
+            else:
+                nxt.extend(path + [ch] for ch in path[-1].children)
         levels.append(nxt)
     return levels
 
@@ -81,12 +88,16 @@ def grow_by_public_steps(root, budget, rng):
     """The search loop spelled with the public step functions only.
 
     A terminal leaf shows itself by expand refusing it; the sample is
-    then rolled out from the leaf itself, as in plan_move.
+    then rolled out from the leaf itself, as in plan_move. Only a new node
+    joins the path: a Stay-only level counted on the leaf leaves the path
+    as it is, and the rollout starts below that level.
     """
     for _ in range(budget.iterations):
         path = select(root, budget.exploration_c)
         try:
-            path.append(expand(path))
+            first = expand(path)
+            if first is not path[-1]:
+                path.append(first)
         except ValueError as e:
             assert "terminal" in str(e), e
         backpropagate(path, rollout(path, rng), root.params.update_rule)
@@ -173,13 +184,20 @@ def test_expand_corner_gives_three_children():
     assert [c.move for c in root.children] == [Move.DOWN, Move.RIGHT, Move.STAY]
 
 
-def test_expand_captured_actor_single_stay_child():
+def test_expand_counts_a_captured_actors_level_without_a_node():
     s = mk(5, [(0, 0), (2, 2)], [(2, 2), (4, 4)])
     root = make_root(s, 0, params_for(s, 15))
     expand([root])  # planner acts first, it is live
     kid = root.children[0]
-    expand([root, kid])  # captured agent's turn
-    assert [(c.agent, c.move) for c in kid.children] == [(1, Move.STAY)]
+    kid.visits = 3
+    # captured agent's turn: no node, the level is counted on kid
+    assert expand([root, kid]) is kid
+    assert kid.children is None
+    assert (kid.stays, kid.stay_visits) == (1, 3)
+    # the next level is the planner's own again, one level deeper
+    first = expand([root, kid])
+    assert first is kid.children[0] and first.agent == 0
+    assert (kid.stays, kid.stay_visits) == (1, 3)
 
 
 def test_turn_wrap_increments_sim_time_exactly_once():
@@ -251,17 +269,29 @@ def test_expand_and_rollout_reject_a_path_that_is_not_a_chain_of_children():
 
 
 def test_turn_completeness_along_paths():
-    """Every simulated time step spans each agent exactly once."""
+    """Every simulated time step spans each agent exactly once, planner
+    first: each level of a turn is a node of its own agent or, when that
+    agent stands on a goal, a Stay-only level counted on the node above."""
     s = mk(4, [(0, 0), (1, 1), (2, 2)], [(3, 3), (3, 2), (3, 1)])
     root = make_root(s, 2, params_for(s, 12))
     levels = exhaust(root, 7)
-    # walk a handful of root-to-leaf paths
-    for leaf_path in levels[-1][:200:7]:
-        path = leaf_path[1:]
-        for start in range(0, len(path) - 2, 3):
-            turn = [p.agent for p in path[start : start + 3]]
-            assert sorted(turn) == [0, 1, 2]
-            assert turn[0] == 2  # planner first
+    turn = (2, 0, 1)
+    counted = 0
+    # walk a spread of root-to-leaf paths
+    for leaf_path in levels[-1][::97]:
+        pos = list(s.agent_pos)
+        level = 0
+        for nd in leaf_path:
+            if nd is not root:
+                assert nd.agent == turn[level % 3]
+                pos[nd.agent] = Position(*divmod(nd.dest, s.n))
+                level += 1
+            for _ in range(nd.stays):
+                assert pos[turn[level % 3]] in s.goals
+                level += 1
+                counted += 1
+        assert level == 7
+    assert counted > 0
 
 
 def test_depth_bound_is_population_times_horizon():
@@ -363,18 +393,28 @@ def test_select_takes_the_first_unvisited_child_past_a_better_score():
     assert select(root, 1.0) == [root, root.children[2]]
 
 
+def _boxed_scenario():
+    """Agent 0 boxed in at (0,0) of a 3x3 board for good: agents 1 and 2
+    hold the goals beside it, so each of its levels is a lone Stay child;
+    agent 3 is live."""
+    s = mk(3, [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0), (2, 0), (2, 2)])
+    return s, ValueParams(0.5, UpdateRule.MEAN, 4, 9)
+
+
 def test_select_walks_lone_children_and_unvisited_tails_without_scoring(monkeypatch):
     import gridmcts.mcts as M
 
-    # agents 0 and 1 hold goals, so the two levels below the root are
-    # lone Stay children; agent 2 then has five moves
-    s = mk(5, [(0, 0), (4, 4), (2, 2)], [(0, 0), (4, 4), (0, 4)])
-    root = make_root(s, 0, params_for(s, 15))
+    # the planner, agent 0, is boxed in, so the root has a lone Stay
+    # child; the levels of agents 1 and 2 are counted on that child, and
+    # agent 3 then has three moves
+    s, p = _boxed_scenario()
+    root = make_root(s, 0, p)
     a = expand([root])
-    b = expand([root, a])
-    expand([root, a, b])
-    assert len(root.children) == len(a.children) == 1
-    for nd in (root, a, b, b.children[0]):
+    assert expand([root, a]) is a and expand([root, a]) is a
+    expand([root, a])
+    assert [c.move for c in root.children] == [Move.STAY]
+    assert a.stays == 2 and [c.agent for c in a.children] == [3, 3, 3]
+    for nd in (root, a, a.children[0]):
         nd.value, nd.visits = 0.5, 6
 
     def boom(*_):
@@ -382,19 +422,39 @@ def test_select_walks_lone_children_and_unvisited_tails_without_scoring(monkeypa
 
     monkeypatch.setattr(M.math, "log", boom)
     monkeypatch.setattr(M.math, "sqrt", boom)
-    assert select(root) == [root, a, b, b.children[1]]
+    assert select(root) == [root, a, a.children[1]]
     monkeypatch.undo()
-    # once every child of b is visited, b is scored
-    for child, v in zip(b.children, [0.1, 0.2, 0.9, 0.3, 0.4]):
+    # once every child of a is visited, a is scored
+    for child, v in zip(a.children, [0.1, 0.9, 0.3]):
         child.value, child.visits = v, 6
-    b.visits = 30
-    assert select(root, 0.0) == [root, a, b, b.children[2]]
+    a.visits = 18
+    assert select(root, 0.0) == [root, a, a.children[1]]
+
+
+def test_select_counts_the_parent_from_the_last_stay_level():
+    # a node whose live level lies below counted Stay-only levels scores
+    # its children with the visits of the last of them, visits -
+    # stay_visits, not its own: here 11 of its 1000 visits. The two
+    # counts pick different children at this c
+    s = mk(5, [(2, 2)], [(4, 4)])
+    root = make_root(s, 0, params_for(s, 15))
+    expand([root])
+    for child, v, k in zip(root.children, [0.5, 0.6, 0.1, 0.1, 0.1], [1, 10, 0, 0, 0]):
+        child.value, child.visits = v, k
+    root.children[2:] = []
+    c = 0.075
+    root.visits, root.stay_visits = 1000, 989
+    assert select(root, c)[1] is root.children[1]
+    root.stay_visits = 0
+    assert select(root, c)[1] is root.children[0]
 
 
 def _uct_child(node, c):
     """The UCT rule spelled out plainly: score every child, an unvisited
-    one infinitely, and keep the first maximum."""
-    lp = math.log(node.visits) if node.visits > 0 else 0.0
+    one infinitely, and keep the first maximum. The parent count is the
+    visits of the last Stay-only level counted on the node, if any."""
+    n = node.visits - node.stay_visits
+    lp = math.log(n) if n > 0 else 0.0
     scores = [
         math.inf if ch.visits == 0 else ch.value + c * math.sqrt(lp / ch.visits)
         for ch in node.children
@@ -404,10 +464,14 @@ def _uct_child(node, c):
 
 def test_select_equals_plain_uct_from_every_node_of_grown_trees():
     meta = Random(9005)
-    # nodes seen with a lone child, an unvisited last child, all visited
-    kinds = [0, 0, 0]
-    for _ in range(16):
-        s, p, b, agent = _mixed_scenario(meta)
+    boxed, bp = _boxed_scenario()
+    scenarios = [_mixed_scenario(meta) for _ in range(16)] + [
+        (boxed, bp, SearchBudget(1, bp.t_final), agent) for agent in (0, 3)
+    ]
+    # nodes seen with a lone child, an unvisited last child, all visited,
+    # and all visited below counted Stay-only levels
+    kinds = [0, 0, 0, 0]
+    for s, p, b, agent in scenarios:
         b = SearchBudget(meta.choice([64, 300]), b.t_final, b.exploration_c)
         root = make_root(s, agent, p)
         root.run(b, Random(meta.randrange(2**60)))
@@ -421,7 +485,8 @@ def test_select_equals_plain_uct_from_every_node_of_grown_trees():
             # ones come last, which a stable sort on "unvisited" keeps
             visits = [ch.visits for ch in node.children]
             assert visits == sorted(visits, key=lambda v: v == 0)
-            kinds[0 if len(visits) == 1 else 1 if visits[-1] == 0 else 2] += 1
+            kinds[0 if len(visits) == 1 else 1 if visits[-1] == 0
+                  else 3 if node.stays else 2] += 1
             path = select(node, b.exploration_c)
             want = [node]
             while want[-1].children:
@@ -655,10 +720,14 @@ def _cyclic_garbage(call):
 @pytest.mark.parametrize("rule", list(UpdateRule))
 def test_plan_move_leaves_no_cyclic_garbage(rule, weight):
     inst = generate_instance(6, 4, 0, 0)
-    s = initial_state(inst.grid, inst.starts, inst.goals)
     p = ValueParams(0.5, rule, 4, 18, distance_weight=weight)
     b = SearchBudget(300, 18)
-    assert _cyclic_garbage(lambda: plan_move(s, 0, b, p, Random(3))) == 0
+    # with agents 1 and 2 moved onto goals at the root too, whose levels
+    # are counted on nodes instead of being nodes
+    for starts in (inst.starts, inst.starts[:1] + inst.goals[1:3] + inst.starts[3:]):
+        s = WorldState(6, 0, starts, frozenset(inst.goals))
+        assert _cyclic_garbage(lambda: plan_move(s, 0, b, p, Random(3))) == 0
+    assert s.captured == (False, True, True, False)
 
 
 def test_episode_leaves_no_cyclic_garbage():
@@ -829,20 +898,20 @@ def test_shaped_rollout_sample_matches_full_copy_reference():
         planner = meta.randrange(s.n_agents)
         root = make_root(s, planner, p)
         tree = RefTree(s, planner, p)
-        path, ref_node = [root], tree.root
+        path = [root]
         # descend a little so the term is read at a node that differs
-        # from the root, captures made inside the tree included
+        # from the root, captures made inside the tree included; a
+        # Stay-only level counts as a step down
         for _ in range(meta.choice([0, meta.randrange(1, 2 * s.n_agents + 2)])):
             if path[-1].children is None:
                 try:
-                    expand(path)
+                    if expand(path) is path[-1]:
+                        continue
                 except ValueError:
                     break
-                ref_expand(tree, ref_node)
-            i = meta.randrange(len(path[-1].children))
-            path.append(path[-1].children[i])
-            ref_node = ref_node.children[i]
+            path.append(meta.choice(path[-1].children))
         seed = meta.randrange(2**60)
+        ref_node = ref_node_at(tree, path)
         assert rollout(path, Random(seed)) == ref_rollout(tree, ref_node, Random(seed))
         pairs += 1
 
@@ -953,6 +1022,60 @@ def test_tree_statistics_match_reference_with_agents_captured_at_root():
             assert not diffs, diffs[:4]
 
 
+@st.composite
+def _search_cases(draw):
+    """A live planner on a 3x3-5x5 board with 1-4 agents, some of them
+    on goals at the root, others able to capture inside the tree; often
+    with only 1-3 turns left, so the horizon cuts runs of Stay-only
+    levels, mid-turn ones included."""
+    n = draw(st.integers(3, 5))
+    na = draw(st.integers(1, 4))
+    cells = draw(st.permutations([Position(r, c) for r in range(n) for c in range(n)]))
+    goals = cells[:na]
+    held = draw(st.integers(0, na - 1))
+    starts = draw(st.permutations(goals[:held] + cells[na:2 * na - held]))
+    t = draw(st.integers(0, 2))
+    t_final = t + draw(st.one_of(st.integers(1, 3), st.integers(4, 3 * n)))
+    s = WorldState(n, t, tuple(starts), frozenset(goals))
+    agent = draw(st.sampled_from([a for a in range(na) if not s.captured[a]]))
+    p = ValueParams(
+        draw(st.sampled_from([0.0, 0.5])),
+        draw(st.sampled_from(list(UpdateRule))),
+        na,
+        t_final,
+        distance_weight=draw(st.sampled_from([0.0, 0.5])),
+    )
+    b = SearchBudget(draw(st.integers(1, 80)), t_final, draw(st.sampled_from([0.5, 2**0.5])))
+    return s, p, b, agent, draw(st.integers(0, 2**32))
+
+
+def _nodes_on_goals(root, s):
+    """Engine nodes whose agent stands on a goal at its parent's board:
+    each would be a Stay-only level made a node."""
+    goal_cells = {g.row * s.n + g.col for g in s.goals}
+    bad = []
+    stack = [(root, tuple(root.pos))]
+    while stack:
+        node, pos = stack.pop()
+        for ch in node.children or ():
+            if pos[ch.agent] in goal_cells:
+                bad.append(ch)
+            stack.append((ch, pos[:ch.agent] + (ch.dest,) + pos[ch.agent + 1:]))
+    return bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_cases())
+def test_search_matches_the_twin_and_makes_no_node_for_a_stay_only_level(case):
+    s, p, b, agent, seed = case
+    assert plan_move(s, agent, b, p, Random(seed)) == ref_plan_move(s, agent, b, p, Random(seed))
+    root = make_root(s, agent, p)
+    root.run(b, Random(seed))
+    diffs = compare_trees(ref_plan_tree(s, agent, b, p, Random(seed)).root, root)
+    assert not diffs, diffs[:4]
+    assert not _nodes_on_goals(root, s)
+
+
 def test_rollout_leaves_the_rng_where_the_reference_does():
     # an equal sample can hide a different number of draws; the RNG's end
     # state cannot. Nodes are taken from grown trees, mid-turn ones and
@@ -966,15 +1089,14 @@ def test_rollout_leaves_the_rng_where_the_reference_does():
         root.run(b, Random(meta.randrange(2**60)))
         tree = RefTree(s, agent, p)
         for _ in range(8):
-            path, ref_node = [root], tree.root
+            path = [root]
             stop = meta.randrange(12)
             while path[-1].children and len(path) - 1 < stop:
-                i = meta.randrange(len(path[-1].children))
-                if ref_node.children is None:
-                    ref_expand(tree, ref_node)
-                path.append(path[-1].children[i])
-                ref_node = ref_node.children[i]
-            depth = len(path) - 1
+                path.append(meta.choice(path[-1].children))
+            ref_node = ref_node_at(tree, path)
+            depth = len(path) - 1 + sum(nd.stays for nd in path)
+            assert (ref_node.turn_pos, ref_node.sim_time) == \
+                (depth % s.n_agents, s.t + depth // s.n_agents)
             mid_turn += depth % s.n_agents != 0
             captured_in_tree += sum(ref_node.state.captured) > sum(s.captured)
             seed = meta.randrange(2**60)
@@ -1019,10 +1141,12 @@ def test_public_steps_leave_the_session_board_clean():
             while path[-1].children and side.random() < 0.85:
                 path.append(side.choice(path[-1].children))
             rollout(path, side)
-            # the session expands every leaf it selects unless it is
-            # terminal, so a leaf visited twice is terminal
+            # the session grows every leaf it selects unless it is
+            # terminal, by a node or a counted Stay-only level, so a leaf
+            # visited more often than once plus its counted levels is
+            # terminal
             node = path[-1]
-            if node.children is None and node.visits >= 2:
+            if node.children is None and node.visits >= node.stays + 2:
                 with pytest.raises(ValueError, match="terminal"):
                     expand(path)
                 rejected += 1
@@ -1040,6 +1164,7 @@ def _realize_without_lock(self, nodes):
         if self.goal_at[nd.dest] and not self.cap_at[nd.dest]:
             self.n_captured += 1
         self.pos[nd.agent] = nd.dest
+    return self.stays + sum(1 + nd.stays for nd in nodes)
 
 
 def _realize_without_count(self, nodes):
@@ -1048,6 +1173,7 @@ def _realize_without_count(self, nodes):
         if self.goal_at[nd.dest]:
             self.cap_at[nd.dest] = 1
         self.pos[nd.agent] = nd.dest
+    return self.stays + sum(1 + nd.stays for nd in nodes)
 
 
 def _reset_all_but_the_last_cell(self):
@@ -1056,36 +1182,76 @@ def _reset_all_but_the_last_cell(self):
     self.cap_at[:] = cap_at
 
 
+def _select_with_raw_visits(root, exploration_c):
+    # the UCT parent count taken from a node's own visits, ignoring the
+    # Stay-only levels counted on it
+    path = [root]
+    while path[-1].children:
+        node = path[-1]
+        stay_visits, node.stay_visits = node.stay_visits, 0
+        path.append(_uct_child(node, exploration_c))
+        node.stay_visits = stay_visits
+    return path
+
+
+_grow = SearchRoot._grow
+
+
+def _grow_counting_past_the_end(self, leaf, depth):
+    # a terminal leaf gets a Stay-only level counted on it
+    first = _grow(self, leaf, depth)
+    if first is None:
+        leaf.stays += 1
+        leaf.stay_visits = leaf.visits
+        return leaf
+    return first
+
+
+_ALL = ("captured", "shaped", "crowded")
+
+# fault: (owner, name, broken, the scenarios whose twin must see it); an
+# owner of None is the gridmcts.mcts module. Only the crowded tree has
+# both scored nodes below counted Stay-only levels and terminal leaves,
+# which the last two faults need
 _BOARD_FAULTS = {
-    "realize-no-lock": ("_realize", _realize_without_lock),
-    "realize-no-count": ("_realize", _realize_without_count),
-    "reset-last-cell": ("_reset", _reset_all_but_the_last_cell),
+    "realize-no-lock": (SearchRoot, "_realize", _realize_without_lock, _ALL),
+    "realize-no-count": (SearchRoot, "_realize", _realize_without_count, _ALL),
+    "reset-last-cell": (SearchRoot, "_reset", _reset_all_but_the_last_cell, _ALL),
+    "select-raw-visits": (None, "select", _select_with_raw_visits, ("crowded",)),
+    "stay-on-terminal": (SearchRoot, "_grow", _grow_counting_past_the_end, ("crowded",)),
 }
 
 
 def _fault_scenarios():
-    # agent 1 holds a goal at the root; the last agent is live in both,
-    # so a cell left unrestored misplaces an agent that still moves
+    # agent 1 holds a goal at the root of the captured state, agents 1
+    # and 2 at that of the crowded one; the last agent is live in all
+    # three, so a cell left unrestored misplaces an agent that still
+    # moves. The crowded state has six turns left
     captured = mk(4, [(0, 0), (2, 2), (3, 3)], [(2, 2), (1, 1), (0, 3)])
     shaped = mk(5, [(0, 0), (3, 1), (2, 4)], [(4, 4), (1, 3), (0, 2)])
-    return [
-        (captured, params_for(captured, 12), SearchBudget(200, 12)),
-        (shaped, dataclasses.replace(params_for(shaped, 15), distance_weight=0.5),
-         SearchBudget(137, 15)),
-    ]
+    crowded = mk(4, [(0, 0), (2, 2), (3, 3), (1, 2)], [(2, 2), (3, 3), (0, 3), (3, 0)], t=6)
+    return {
+        "captured": (captured, params_for(captured, 12), SearchBudget(200, 12)),
+        "shaped": (shaped, dataclasses.replace(params_for(shaped, 15), distance_weight=0.5),
+                   SearchBudget(137, 15)),
+        "crowded": (crowded, params_for(crowded, 12), SearchBudget(500, 12)),
+    }
 
 
 @pytest.mark.parametrize("fault", sorted(_BOARD_FAULTS))
 def test_reference_twin_sees_each_scratch_board_fault(monkeypatch, fault):
-    name, broken = _BOARD_FAULTS[fault]
+    import gridmcts.mcts as M
+
+    owner, name, broken, seen_in = _BOARD_FAULTS[fault]
     trees = []
-    for s, p, b in _fault_scenarios():
+    for key, (s, p, b) in _fault_scenarios().items():
         ref = ref_plan_tree(s, 0, b, p, Random(5)).root
         root = make_root(s, 0, p)
         root.run(b, Random(5))
         assert not compare_trees(ref, root)
-        trees.append((s, p, b, ref))
-    monkeypatch.setattr(SearchRoot, name, broken)
+        if key in seen_in:
+            trees.append((s, p, b, ref))
+    monkeypatch.setattr(owner or M, name, broken)
     for s, p, b, ref in trees:
         root = make_root(s, 0, p)
         root.run(b, Random(5))
