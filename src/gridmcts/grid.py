@@ -58,10 +58,15 @@ def cell_tables(n: int):
     per grid size.
 
     moves[cell] lists the in-bounds cardinal Moves in canonical order,
-    then Stay. steps[cell] is (cells, m + 1): the matching destination
-    cells, `cell` itself last for Stay, and m + 1 for the playout draw.
+    then Stay. steps[cell] is (cells, draws): the matching destination
+    cells, `cell` itself last for Stay, and the playout's draw table.
     A destination equals `cell` exactly when the move is Stay. Locked
     goals are not filtered out; callers skip them.
+
+    draws has 64 entries, one per value of a six-bit draw r: entry r < 60
+    is cells[r % len(cells)], and entries 60-63 are the sentinel n * n,
+    one past the last cell. len(cells) is 3, 4 or 5, each a divisor of
+    60, so every destination fills exactly 60 / len(cells) of the 60.
     """
     moves = []
     steps = []
@@ -78,7 +83,9 @@ def cell_tables(n: int):
                 mm.append(mv)
                 dd.append(q)
         moves.append(tuple(mm) + (Move.STAY,))
-        steps.append((tuple(dd) + (cell,), len(dd) + 1))
+        cells = tuple(dd) + (cell,)
+        m1 = len(cells)
+        steps.append((cells, tuple(cells[r % m1] for r in range(60)) + (n * n,) * 4))
     return tuple(moves), tuple(steps)
 
 

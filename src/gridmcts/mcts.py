@@ -50,16 +50,20 @@ the turns left, so without this term the root children of a stranded
 last agent all score alike.
 
 Randomness convention (shared with the reference simulator in the test
-suite, bit-for-bit): for each live acting agent, let ``nb`` be its
-in-bounds cardinal destination cells in UP, DOWN, LEFT, RIGHT order and
-``m = len(nb)``. Draw ``j = int(rng.random() * (m + 1))``; ``j == m``
-means Stay (always accepted), otherwise candidate ``nb[j]`` is accepted
-unless that cell is a locked goal, in which case the draw repeats.
-Rejection keeps the distribution exactly uniform over legal moves.
-Captured agents act deterministically and consume no randomness.
-The engine computes ``j`` with ``math.floor``, which equals ``int`` on
-the non-negative product. A live agent never stands on a goal, so its
-Stay cell is never locked: the engine refuses only locked neighbours.
+suite, which must consume the same draws and return the same sample
+bit for bit): for each live acting agent, let ``nb`` be its in-bounds
+cardinal destination cells in UP, DOWN, LEFT, RIGHT order and
+``m = len(nb)``. Draw ``r = rng.getrandbits(6)``; ``r >= 60`` is
+rejected and the draw repeats. Otherwise ``j = r % (m + 1)``;
+``j == m`` means Stay (always accepted), and candidate ``nb[j]`` is
+accepted unless that cell is a locked goal, in which case the draw
+repeats too. m + 1 is 3, 4 or 5, a divisor of 60, so every accepted
+draw is exactly uniform over legal moves. Captured agents act
+deterministically and consume no randomness. The engine reads the
+destination straight from grid.cell_tables' 64-entry draw table, whose
+entries 60-63 are a sentinel cell the board keeps locked, so one test
+rejects both a locked goal and ``r >= 60``. A live agent never stands
+on a goal, so its Stay cell is never locked.
 """
 from __future__ import annotations
 
@@ -168,6 +172,8 @@ class SearchRoot(SearchNode):
     agent, value parameters, turn order), the leaf distance term's lookup
     data and the flat-indexed scratch board every search step runs on:
     agent cells, goal cells, locked goal cells and the captured count.
+    cap_at has one byte past the last cell, always 1: the locked
+    sentinel that the playout's draw table maps r >= 60 to.
     As in grid.WorldState, an agent is captured exactly when its cell is
     a goal, so the board keeps no per-agent flag.
     Between steps the board equals its snapshot taken here; _reset()
@@ -194,7 +200,8 @@ class SearchRoot(SearchNode):
         self.goal_at = bytearray(n * n)
         for g in state.goals:
             self.goal_at[g.row * n + g.col] = 1
-        self.cap_at = bytearray(n * n)
+        self.cap_at = bytearray(n * n + 1)
+        self.cap_at[n * n] = 1
         for cell in self.pos:
             self.cap_at[cell] = self.goal_at[cell]
         self.n_captured = sum(state.captured)
@@ -282,6 +289,10 @@ class SearchRoot(SearchNode):
         Only live agents draw, so the loop walks a list of them, in turn
         order. After a partial first turn it is rebuilt from the full
         order; after a turn with a capture the current list is filtered.
+        `rand` is the rng's getrandbits: each step draws six bits and
+        reads its destination from the mover's cell's draw table,
+        redrawing while that destination is locked, a locked goal or the
+        sentinel (see the module docstring).
         """
         params = self.params
         t_final = params.t_final
@@ -293,7 +304,6 @@ class SearchRoot(SearchNode):
         steps = self.steps
         shaping = self.shaping
         n_cap = self.n_captured
-        floor = math.floor
 
         t, tp = divmod(depth, n_agents)
         t += self.state.t
@@ -323,12 +333,12 @@ class SearchRoot(SearchNode):
         while t < t_final:
             captured = False
             for a in movers:
-                # a mover stands on no goal, so only a locked neighbour,
-                # never Stay, is redrawn; floor equals int on this product
-                cells, m1 = steps[pos[a]]
-                q = cells[floor(rand() * m1)]
+                # a mover stands on no goal, so only a locked neighbour
+                # or the sentinel, never Stay, is redrawn
+                draws = steps[pos[a]][1]
+                q = draws[rand(6)]
                 while cap_at[q]:
-                    q = cells[floor(rand() * m1)]
+                    q = draws[rand(6)]
                 pos[a] = q
                 # q is legal here, so any goal it lands on is free
                 if goal_at[q]:
@@ -366,13 +376,14 @@ class SearchRoot(SearchNode):
         by one level unless it is terminal, rolls out from that level
         (its first child, or the Stay-only level counted on it) or from
         the terminal leaf, backs the sample up the path and resets the
-        board. select and backpropagate are looked up as module globals
+        board. Playouts draw through rng.getrandbits, six bits a step.
+        select and backpropagate are looked up as module globals
         at call time, so a tracer that rebinds them sees every step.
         budget.t_final must equal params.t_final; plan_move checks it.
         """
         rule = self.params.update_rule
         c = budget.exploration_c
-        rand = rng.random
+        rand = rng.getrandbits
         for _ in range(budget.iterations):
             path = select(self, c)
             depth = self._realize(path[1:])
@@ -493,7 +504,7 @@ def rollout(path: list[SearchNode], rng: Random) -> float:
     own horizon, on the root's board, then reset the board; the tree is
     untouched. `path` is checked as for expand."""
     root = _path_root(path)
-    value = root._playout(root._realize(path[1:]), rng.random)
+    value = root._playout(root._realize(path[1:]), rng.getrandbits)
     root._reset()
     return value
 

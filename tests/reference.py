@@ -5,8 +5,10 @@ all transitions go through the public domain layer (apply_move), so this
 implementation shares no state-mutation code with gridmcts.mcts. Values
 are computed only through the public functions in gridmcts.values. It
 consumes randomness with the exact same draw sequence as the engine
-(rollout-only, rejection sampling over in-bounds neighbors), which makes
-move choices and tree statistics comparable bit for bit. The twin gives
+(rollout-only: six-bit draws, rejection sampling over in-bounds
+neighbors), which makes move choices and tree statistics comparable bit
+for bit. It draws each step arithmetically, where the engine reads the
+destination from a 64-entry table per cell. The twin gives
 every tree level a node, a captured agent's forced Stay included, where
 the engine counts such a level on the node above it; compare_trees and
 ref_node_at map the one tree onto the other.
@@ -181,12 +183,13 @@ def ref_rollout(tree: RefTree, node: RefNode, rng: Random) -> float:
     """Uniform random playout, scored like the engine scores it.
 
     Draw protocol per live acting agent: with m in-bounds neighbors,
-    j = int(rng.random() * (m + 1)); j == m stays, otherwise neighbor j
-    is taken unless locked, in which case the draw repeats. Captured
-    agents consume no randomness. The playout's final state supplies
-    captured count and the planner's mark; the time bonus uses the
-    evaluated node's own turn (sim_time, plus one if mid-turn), and the
-    distance term the evaluated node's own state.
+    r = rng.getrandbits(6), redrawn while r >= 60; then j = r % (m + 1),
+    and j == m stays, otherwise neighbor j is taken unless locked, in
+    which case the draw repeats. Captured agents consume no randomness.
+    The playout's final state supplies captured count and the planner's
+    mark; the time bonus uses the evaluated node's own turn (sim_time,
+    plus one if mid-turn), and the distance term the evaluated node's
+    own state.
     """
     params = tree.params
     t_final = params.t_final
@@ -207,7 +210,10 @@ def ref_rollout(tree: RefTree, node: RefNode, rng: Random) -> float:
                 m = len(nb)
                 locked = state.captured_cells()
                 while True:
-                    j = int(rng.random() * (m + 1))
+                    r = rng.getrandbits(6)
+                    if r >= 60:
+                        continue
+                    j = r % (m + 1)
                     if j == m:
                         mv = Move.STAY
                         break

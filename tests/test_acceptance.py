@@ -155,12 +155,15 @@ def test_criterion_04_delta_rollout_equals_reference():
             i = meta.randrange(len(path[-1].children))
             path.append(path[-1].children[i])
         seed = meta.randrange(2**60)
-        got = rollout(path, Random(seed))
-        want = ref_rollout(tree, ref_node_at(tree, path), Random(seed))
-        if got != want:
+        got_rng, want_rng = Random(seed), Random(seed)
+        got = rollout(path, got_rng)
+        want = ref_rollout(tree, ref_node_at(tree, path), want_rng)
+        # equal samples can hide a different number of draws; the RNG's
+        # end state cannot
+        if got != want or got_rng.getstate() != want_rng.getstate():
             bad += 1
         pairs += 1
-    _report(4, bad == 0, f"{pairs - bad}/{pairs} samples bit-identical")
+    _report(4, bad == 0, f"{pairs - bad}/{pairs} samples and RNG end states bit-identical")
 
 
 def test_criterion_05_value_identities_exact():

@@ -187,7 +187,21 @@ def test_cell_tables_match_the_public_moves(n):
             q.row * n + q.col for q in (move_dest(here, m) for m in moves[cell])
         )
         assert dests[-1] == cell
-        assert steps[cell] == (dests, len(dests))
+        draws = tuple(dests[r % len(dests)] for r in range(60)) + (n * n,) * 4
+        assert steps[cell] == (dests, draws)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_draw_table_fills_sixty_entries_evenly_and_four_with_the_sentinel(n):
+    # a six-bit draw r < 60 must land on every destination equally often,
+    # and r >= 60 on the sentinel, one past the last cell
+    _, steps = cell_tables(n)
+    for cell, (dests, draws) in enumerate(steps):
+        assert len(draws) == 64
+        assert len(dests) in (3, 4, 5)
+        assert all(draws[:60].count(q) == 60 // len(dests) for q in dests)
+        assert set(draws[:60]) == set(dests)
+        assert draws[60:] == (n * n,) * 4
 
 
 # ------------------------------------------------------------- apply_move

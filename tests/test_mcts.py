@@ -16,6 +16,7 @@ from gridmcts.grid import (
     WorldState,
     initial_state,
     legal_moves,
+    move_dest,
 )
 from gridmcts.mcts import (
     DEFAULT_EXPLORATION_C,
@@ -548,6 +549,36 @@ def test_rollout_sample_matches_full_copy_reference():
         pairs += 1
 
 
+def test_accepted_draws_are_uniform_over_the_unlocked_legal_moves():
+    # every six-bit value r, read through the mover's draw table and the
+    # root board's locks, the sentinel's included: the values the playout
+    # accepts must hit each legal move equally often and nothing else
+    meta = Random(9010)
+    locked_seen = 0
+    for _ in range(300):
+        n = meta.choice([2, 3, 4, 5, 6])
+        na = meta.randint(1, n * n // 2)
+        cells = [Position(r, c) for r in range(n) for c in range(n)]
+        meta.shuffle(cells)
+        goals = cells[:na]
+        # some agents start on goals, so some neighbours are locked
+        starts = meta.sample(cells[: 2 * na], na)
+        s = initial_state(GridConfig(n, na), starts, goals)
+        root = make_root(s, 0, params_for(s, 3 * n))
+        for a in range(na):
+            if s.captured[a]:
+                continue
+            here = s.agent_pos[a]
+            legal = [move_dest(here, mv) for mv in legal_moves(s, a)]
+            draws = root.steps[root.pos[a]][1]
+            accepted = [draws[r] for r in range(64) if not root.cap_at[draws[r]]]
+            counts = {q: accepted.count(q) for q in set(accepted)}
+            assert set(counts) == {q.row * n + q.col for q in legal}
+            assert len(set(counts.values())) == 1
+            locked_seen += len(legal) < len(set(draws[:60]))
+    assert locked_seen > 300
+
+
 def test_playout_keeps_its_board_out_of_closure_cells():
     # before CPython 3.12 a comprehension in _playout that read pos or
     # goal_at would make them closure cells, and every read of them in
@@ -813,15 +844,15 @@ def _with_weight(p, meta):
 
 
 def test_distance_weight_zero_returns_todays_sample():
-    # samples pinned from the engine as it was before the distance term
-    # existed; weight 0 must reproduce them bit for bit
+    # plain samples pinned from the reference twin's ref_rollout at
+    # weight 0; the engine's weight 0 must reproduce them bit for bit
     s = mk(5, [(0, 0), (3, 1), (2, 4)], [(4, 4), (1, 3), (0, 2)], t=1)
     p = ValueParams(0.5, UpdateRule.MEAN, 3, 15, distance_weight=0.0)
     want = {
-        (0, 1): "0x1.9f49f49f49f4ap-1",
-        (1, 2): "0x1.49f49f49f49f4p-1",
+        (0, 1): "0x1.49f49f49f49f4p-1",
+        (1, 2): "0x1.f49f49f49f49fp-1",
         (2, 3): "0x1.9f49f49f49f4ap-1",
-        (0, 4): "0x1.f49f49f49f49fp-1",
+        (0, 4): "0x1.9f49f49f49f4ap-1",
     }
     for (agent, seed), hx in want.items():
         got = rollout([make_root(s, agent, p)], Random(seed))
