@@ -1,19 +1,19 @@
-"""Exact solvers for small boards, used to ground-truth the searcher.
+"""Exact solvers and bounds, used to ground-truth the searcher.
 
-Two independent implementations of the same question ("can every goal
-be captured within t steps, and how fast at best?") so each can check
-the other: a breadth-first sweep over joint states and an iterative
-deepening depth-first search with an admissible distance prune. The
-sweep runs on flat cells (r * n + c), reads capture off the goal cells
-and builds successors agent by agent, in the lexicographic order that
-itertools.product gives; the deepening search expands Position tuples
-through _joint_successors, which enumerates with product itself, so
-the two share no successor code. Both use the coordinator's joint-move
-semantics: every agent steps or stays simultaneously, destinations
-must be pairwise distinct, locked goals are impassable, and landing on
-a free goal captures. Any such joint move is realizable by the merge
-rule and vice versa, so the optimal makespan found here is the true
-optimum of the executed system.
+``exact_joint_search`` answers "can every goal be captured within t
+steps, and how fast at best?" at any board size, as the least horizon
+at which a time-expanded max-flow carries every agent to a goal.
+``iterative_deepening_search`` answers it by an unrelated algorithm, a
+depth-first search over Position tuples through _joint_successors with
+an admissible distance prune. It is exponential, so it takes boards up
+to 5x5 with 3 agents; perfbench/run.py checks the flow against it. The
+breadth-first search over joint states that the flow replaced lives on
+as the reference twin in tests/reference.py. All of them use the
+coordinator's joint-move semantics: every agent steps or stays
+simultaneously, destinations must be pairwise distinct, locked goals
+are impassable, and landing on a free goal captures. Any such joint
+move is realizable by the merge rule and vice versa, so the optimal
+makespan found here is the true optimum of the executed system.
 
 Two bounds answer coarser questions at any board size and any horizon,
 both with one augmenting-path matcher over agents and goals.
@@ -58,7 +58,7 @@ class OracleResult:
 
 
 def _check_tractable(instance: Instance, t_final: int) -> None:
-    """Reject boards and populations beyond the exact searches' reach."""
+    """Reject boards and populations beyond the deepening search's reach."""
     n, na = instance.grid.n, instance.grid.n_agents
     if n > _MAX_N or na > _MAX_AGENTS:
         raise ValueError(
@@ -110,68 +110,75 @@ def _joint_successors(n, goals, pos, cap):
 
 
 def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
-    """Breadth-first search over joint states; exact and minimal.
+    """Least horizon at which a time-expanded max-flow carries every
+    agent to a goal: the optimal makespan, at any board size.
 
-    A state is the tuple of agent cells, flat as r * n + c. An agent is
-    captured exactly when its cell is a goal: live agents never stand
-    on one, since stepping onto a free goal captures and locked goals
-    are impassable. So the cells alone are the state, and a state is
-    solved when every cell is a goal.
-
-    Successors are built agent by agent: every partial joint move is
-    extended, in order, by the agent's in-bounds destinations in Move
-    order with Stay last, skipping any cell an earlier agent took; a
-    captured agent only stays. A locked goal needs no filter of its
-    own: its captured agent stays on it, so a joint move that enters it
-    always clashes. Extending in order yields the clash-free
-    combinations in the order itertools.product gives over the
-    per-agent options, the order _joint_successors uses, so states are
-    discovered in the same order and the witness is the same one. Its
-    moves are read back from consecutive cells of the parent chain. The
-    per-cell options come from grid.cell_tables, the table the tree
-    search draws from too.
-    Levels are expanded up to depth t_final.
-
-    Only boards up to 5x5 with at most 3 agents are accepted, the state
-    space beyond that is no longer desk-sized.
+    Node (c, t), cell c at turn t, has capacity 1, kept by an in and an
+    out half. A non-goal cell links to itself and its in-bounds
+    neighbours at t + 1, a goal only to itself, since capture pins its
+    agent. Sources are the starts at t = 0, sinks the goals at the
+    horizon. Unit paths through distinct nodes are exactly the joint
+    moves with pairwise distinct destinations, swaps included. A flow
+    at horizon T stays one at T + 1, each unit waiting on its goal, so
+    the flow is kept as the horizon rises from 0 and grown by
+    breadth-first augmenting paths. It holds the used edges (t, c, c')
+    and one (-1, -1, start) edge per routed start. The witness follows
+    each start's unit, its moves read from grid.cell_tables.
     """
-    _check_tractable(instance, t_final)
-    n, na = instance.grid.n, instance.grid.n_agents
-    starts, goals, cap0 = _flatten(instance)
-    if all(cap0):
-        return OracleResult(True, 0, _per_agent([], na))
-
+    if t_final < 0:
+        raise ValueError(f"t_final must be non-negative, got {t_final}")
+    n = instance.grid.n
     moves, steps = cell_tables(n)
-    is_goal = bytearray(n * n)
-    for g in goals:
-        is_goal[g.row * n + g.col] = 1
-    start = tuple(p.row * n + p.col for p in starts)
-    parent: dict = {start: None}
-    frontier = [start]
-    for depth in range(t_final):
-        level = []
-        for cells in frontier:
-            partial = [()]
-            for cell in cells:
-                opts = (cell,) if is_goal[cell] else steps[cell][0]
-                partial = [d + (q,) for d in partial for q in opts if q not in d]
-            for dests in partial:
-                if dests in parent:
+    goal = {g.row * n + g.col for g in instance.goals}
+    opts = [(c,) if c in goal else steps[c][0] for c in range(n * n)]
+    src = [p.row * n + p.col for p in instance.starts]
+    flow: set = set()
+    for horizon in range(t_final + 1):
+        flow |= {(horizon - 1, q, q) for t, _, q in flow if t == horizon - 2}
+        while True:
+            went = {(t, c): q for t, c, q in flow}
+            came = {(t + 1, q): c for t, c, q in flow}
+            parent = {(0, s, 0): None for s in src if (0, s) not in came}
+            if not parent:
+                plan = []
+                for c in src:
+                    path = [c]
+                    for t in range(horizon):
+                        path.append(went[t, path[-1]])
+                    plan.append(tuple(moves[a][steps[a][0].index(b)] for a, b in zip(path, path[1:])))
+                return OracleResult(True, horizon, tuple(plan))
+            # residual moves: an out half takes every edge its unit does not
+            # and, on a used node, backs into its in half; a used in half
+            # backs along its unit's edge in, an unused one crosses its node
+            frontier, end = list(parent), None
+            for t, c, out in frontier:
+                if out:
+                    nxt = [(t + 1, q, 0) for q in opts[c] if q != went.get((t, c))]
+                    if (t, c) in came:
+                        nxt.append((t, c, 0))
+                elif (t, c) in came:
+                    nxt = [(t - 1, came[t, c], 1)] if t else []
+                elif t < horizon:
+                    nxt = [(t, c, 1)]
+                elif c in goal:
+                    end = (t, c, 0)
+                    break
+                else:
                     continue
-                parent[dests] = cells
-                if all(is_goal[q] for q in dests):
-                    # walk the parent chain back to the start for the witness
-                    chain = []
-                    while parent[dests] is not None:
-                        prev = parent[dests]
-                        chain.append(tuple(
-                            moves[a][steps[a][0].index(q)] for a, q in zip(prev, dests)
-                        ))
-                        dests = prev
-                    chain.reverse()
-                    return OracleResult(True, depth + 1, _per_agent(chain, na))
-                level.append(dests)
-        frontier = level
+                for state in nxt:
+                    if state not in parent:
+                        parent[state] = (t, c, out)
+                        frontier.append(state)
+            if end is None:
+                break
+            # a forward step of the path adds its edge to the flow, a
+            # backward step cancels the edge it retraces
+            while parent[end] is not None:
+                (t0, c0, _), (t1, c1, _) = parent[end], end
+                if t0 != t1:
+                    flow ^= {(t0, c0, c1) if t1 > t0 else (t1, c1, c0)}
+                end = parent[end]
+            flow.add((-1, -1, end[1]))
     return OracleResult(False, None, None)
 
 

@@ -18,12 +18,15 @@ a forward search per live agent through legal_moves and apply_move
 until the domain layer itself reports a capture, where the engine runs
 backward sweeps from the goals over a flat board.
 
-The exact oracle has a twin here too: ref_exact_joint_search is the
-breadth-first search over Position tuples and capture flags that
-gridmcts.oracle.exact_joint_search replaced with flat cells and a
-bitmask. It expands through oracle._joint_successors, the
-itertools.product enumeration the oracle's own docstring says its
-order equals. ref_assignment_lower_bound is the bound's original form,
+The exact oracle has a twin here too: ref_exact_joint_search is a
+breadth-first search over Position tuples and capture flags, expanding
+through oracle._joint_successors. It is the only breadth-first joint-state
+search left: gridmcts.oracle.exact_joint_search answers the same
+question with a time-expanded max-flow at any size, and this twin, like
+oracle.iterative_deepening_search (the independent check the benchmark
+uses), stops at 5x5 with 3 agents. The two agree on verdict and
+optimum; their witnesses differ, so tests replay the flow's instead of
+comparing it. ref_assignment_lower_bound is the bound's original form,
 a loop over every goal permutation, where the oracle now runs a
 bottleneck matching.
 

@@ -84,9 +84,11 @@ def test_worker_count_does_not_change_results():
 
 
 def test_oracle_columns_filled_when_eligible():
+    # 8x8 with 4 agents is past the joint-state searches' reach
     records = run_full_accuracy(
-        [(4, 2)], instances=3, iterations=150, master_seed=3, oracle_check=True
+        [(4, 2), (8, 4)], instances=3, iterations=150, master_seed=3, oracle_check=True
     )
+    assert len(records) == 6
     for r in records:
         assert r.oracle_solvable is not None
         if r.oracle_solvable:

@@ -64,23 +64,29 @@ def test_unsolvable_within_short_horizon():
 
 
 def test_size_bound_enforced():
+    # only the deepening search is exponential and bounded; the flow
+    # takes any size but, like it, rejects a negative horizon
     big = generate_instance(6, 2, 0, 5)
     with pytest.raises(ValueError):
-        exact_joint_search(big, 10)
+        iterative_deepening_search(big, 10)
     crowded = generate_instance(5, 4, 0, 5)
     with pytest.raises(ValueError):
-        exact_joint_search(crowded, 10)
+        iterative_deepening_search(crowded, 10)
+    i = inst(3, [(0, 0)], [(2, 2)])
+    for search in (exact_joint_search, iterative_deepening_search):
+        with pytest.raises(ValueError):
+            search(i, -1)
 
 
 def test_swapped_agents_on_3x3():
     # agents sit on each other's nearest goals; optimum found by search
     # must match the independent deepening search and the sum bound
     i = inst(3, [(0, 0), (0, 2)], [(0, 2), (0, 0)])
-    bfs = exact_joint_search(i, 9)
+    flow = exact_joint_search(i, 9)
     idd = iterative_deepening_search(i, 9)
-    assert bfs.solvable_within and idd.solvable_within
-    assert bfs.optimal_makespan == idd.optimal_makespan
-    assert bfs.optimal_makespan <= 4  # 2 + 2 sequentialized is an upper bound
+    assert flow.solvable_within and idd.solvable_within
+    assert flow.optimal_makespan == idd.optimal_makespan
+    assert flow.optimal_makespan <= 4  # 2 + 2 sequentialized is an upper bound
 
 
 def test_relabeling_agents_preserves_makespan():
@@ -119,7 +125,7 @@ def test_witness_plan_replays_to_full_capture():
         checked += 1
 
 
-def test_bfs_and_iddfs_agree():
+def test_flow_and_iddfs_agree():
     rng = Random(5150)
     for k in range(120):
         n = rng.choice([3, 4])
@@ -134,8 +140,9 @@ def test_bfs_and_iddfs_agree():
         assert a.optimal_makespan == b.optimal_makespan, (i.name, tf)
 
 
-def test_bfs_and_iddfs_agree_on_5x5_three_agents():
-    # the oracle's largest accepted size, the benchmark's 5x5/3 instances
+def test_flow_and_iddfs_agree_on_5x5_three_agents():
+    # the deepening search's largest accepted size, the benchmark's 5x5/3
+    # instances
     for k in range(6):
         i = generate_instance(5, 3, k, 0)
         a = exact_joint_search(i, 15)
@@ -147,17 +154,35 @@ def test_bfs_and_iddfs_agree_on_5x5_three_agents():
 SMALL_EXACT = [(4, 3, k) for k in range(10)] + [(5, 3, k) for k in range(6)]
 
 
+def _verdict(r):
+    return r.solvable_within, r.optimal_makespan
+
+
+def _assert_witness_replays(i, r):
+    """The witness reaches full capture in exactly the optimal makespan."""
+    assert all(len(m) == r.optimal_makespan for m in r.witness_plan)
+    assert all(_replay(i, r).captured)
+    if r.optimal_makespan:
+        early = r.optimal_makespan - 1
+        cut = OracleResult(True, early, tuple(m[:early] for m in r.witness_plan))
+        assert not all(_replay(i, cut).captured)
+
+
 @pytest.mark.parametrize("n,na,k", SMALL_EXACT)
 def test_matches_reference_twin_on_benchmark_instances(n, na, k):
-    # same verdict, optimum and witness as the Position-based search
+    # same verdict and optimum as the breadth-first search over joint
+    # states; the witnesses may differ, so the flow's is replayed
     i = generate_instance(n, na, k, 0)
-    assert exact_joint_search(i, 3 * n) == ref_exact_joint_search(i, 3 * n)
+    r = exact_joint_search(i, 3 * n)
+    assert _verdict(r) == _verdict(ref_exact_joint_search(i, 3 * n))
+    if r.solvable_within:
+        _assert_witness_replays(i, r)
 
 
 @st.composite
-def _layouts(draw):
-    n = draw(st.sampled_from([2, 3, 4]))
-    na = draw(st.integers(1, min(3, n * n // 2)))
+def _layouts(draw, max_n=4, max_agents=3):
+    n = draw(st.integers(2, max_n))
+    na = draw(st.integers(1, min(max_agents, n * n // 2)))
     cells = [Position(r, c) for r in range(n) for c in range(n)]
     # starts and goals are drawn apart, so a start may sit on a goal
     goals = draw(st.lists(st.sampled_from(cells), min_size=na, max_size=na, unique=True))
@@ -169,7 +194,39 @@ def _layouts(draw):
 @given(_layouts())
 def test_matches_reference_twin_on_small_layouts(i):
     for tf in (0, 1, 2, 3 * i.grid.n):
-        assert exact_joint_search(i, tf) == ref_exact_joint_search(i, tf), tf
+        r = exact_joint_search(i, tf)
+        assert _verdict(r) == _verdict(ref_exact_joint_search(i, tf)), tf
+        if r.solvable_within:
+            _assert_witness_replays(i, r)
+
+
+@pytest.mark.parametrize("k,optimum", [(0, 7), (1, 11)])
+def test_optimum_past_the_joint_search_sizes(k, optimum):
+    # 20x20 with 20 agents, the paper's headline size
+    i = generate_instance(20, 20, k, 0)
+    r = exact_joint_search(i, 60)
+    assert _verdict(r) == (True, optimum)
+    _assert_witness_replays(i, r)
+
+
+def test_certified_gate_instance_is_unsolvable_for_the_flow():
+    # MP1010-9 at seed 0, whose goal (1,0) no agent can reach
+    assert _verdict(exact_joint_search(generate_instance(10, 10, 9, 0), 30)) == (False, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layouts(max_n=6, max_agents=6), st.data())
+def test_flow_witness_bound_certificate_and_horizon_agree(i, data):
+    # past the twin's sizes: the witness, the assignment bound, the
+    # certificate and the next horizon must all agree with the optimum
+    tf = data.draw(st.integers(0, 3 * i.grid.n))
+    r = exact_joint_search(i, tf)
+    if certify_unsolvable(i):
+        assert not r.solvable_within
+    if r.solvable_within:
+        _assert_witness_replays(i, r)
+        assert r.optimal_makespan >= assignment_lower_bound(i)
+        assert _verdict(exact_joint_search(i, tf + 1)) == _verdict(r)
 
 
 # -------------------------------------------------- assignment_lower_bound
