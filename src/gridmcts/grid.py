@@ -54,22 +54,23 @@ def manhattan(a: Position, b: Position) -> int:
 
 @lru_cache(maxsize=None)
 def cell_tables(n: int):
-    """Per-cell moves and destinations, flat-indexed (r * n + c); cached
-    per grid size.
+    """Per-cell moves, destinations and draw tables, three flat tuples
+    indexed by cell (r * n + c); cached per grid size.
 
     moves[cell] lists the in-bounds cardinal Moves in canonical order,
-    then Stay. steps[cell] is (cells, draws): the matching destination
-    cells, `cell` itself last for Stay, and the playout's draw table.
-    A destination equals `cell` exactly when the move is Stay. Locked
-    goals are not filtered out; callers skip them.
+    then Stay. dests[cell] lists the matching destination cells, `cell`
+    itself last for Stay, so a destination equals `cell` exactly when the
+    move is Stay. draws[cell] is the playout's draw table. Locked goals
+    are not filtered out; callers skip them.
 
-    draws has 64 entries, one per value of a six-bit draw r: entry r < 60
-    is cells[r % len(cells)], and entries 60-63 are the sentinel n * n,
-    one past the last cell. len(cells) is 3, 4 or 5, each a divisor of
-    60, so every destination fills exactly 60 / len(cells) of the 60.
+    draws[cell] has 64 entries, one per value of a six-bit draw r: with
+    m = len(dests[cell]), entry r < 60 is dests[cell][r % m], and entries
+    60-63 are the sentinel n * n, one past the last cell. m is 3, 4 or 5,
+    a divisor of 60, so every destination fills exactly 60 / m of the 60.
     """
     moves = []
-    steps = []
+    dests = []
+    draws = []
     for cell in range(n * n):
         r, c = divmod(cell, n)
         mm = []
@@ -85,8 +86,9 @@ def cell_tables(n: int):
         moves.append(tuple(mm) + (Move.STAY,))
         cells = tuple(dd) + (cell,)
         m1 = len(cells)
-        steps.append((cells, tuple(cells[r % m1] for r in range(60)) + (n * n,) * 4))
-    return tuple(moves), tuple(steps)
+        dests.append(cells)
+        draws.append(tuple(cells[r % m1] for r in range(60)) + (n * n,) * 4)
+    return tuple(moves), tuple(dests), tuple(draws)
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,17 @@ destination straight from grid.cell_tables' 64-entry draw table, whose
 entries 60-63 are a sentinel cell the board keeps locked, so one test
 rejects both a locked goal and ``r >= 60``. A live agent never stands
 on a goal, so its Stay cell is never locked.
+
+The board is lists of ints, not bytearrays: CPython specializes list
+subscripts, not bytearray ones. The cyclic collector is paused while a
+tree grows, and in plan_move until the tree is freed: a tree holds no
+cycle for it to find.
 """
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -171,9 +178,10 @@ class SearchRoot(SearchNode):
     Holds the full world state, the context of the whole tree (planning
     agent, value parameters, turn order), the leaf distance term's lookup
     data and the flat-indexed scratch board every search step runs on:
-    agent cells, goal cells, locked goal cells and the captured count.
-    cap_at has one byte past the last cell, always 1: the locked
-    sentinel that the playout's draw table maps r >= 60 to.
+    pos, the agent cells; goal_at and cap_at, a 0/1 flag per goal cell
+    and per locked goal cell; and the captured count. All three are
+    lists of ints. cap_at has one entry past the last cell, always 1:
+    the locked sentinel that the playout's draw table maps r >= 60 to.
     As in grid.WorldState, an agent is captured exactly when its cell is
     a goal, so the board keeps no per-agent flag.
     Between steps the board equals its snapshot taken here; _reset()
@@ -182,7 +190,7 @@ class SearchRoot(SearchNode):
 
     __slots__ = ("state", "planning_agent", "params", "order", "shaping",
                  "pos", "goal_at", "cap_at", "n_captured",
-                 "moves", "steps", "snapshot")
+                 "moves", "dests", "draws", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
         super().__init__(None, None, None)
@@ -197,15 +205,15 @@ class SearchRoot(SearchNode):
         w = params.distance_weight
         self.shaping = (w, _goal_tables(n, state.goals), distance_cap(n)) if w else None
         self.pos = [p.row * n + p.col for p in state.agent_pos]
-        self.goal_at = bytearray(n * n)
+        self.goal_at = [0] * (n * n)
         for g in state.goals:
             self.goal_at[g.row * n + g.col] = 1
-        self.cap_at = bytearray(n * n + 1)
+        self.cap_at = [0] * (n * n + 1)
         self.cap_at[n * n] = 1
         for cell in self.pos:
             self.cap_at[cell] = self.goal_at[cell]
         self.n_captured = sum(state.captured)
-        self.moves, self.steps = cell_tables(n)
+        self.moves, self.dests, self.draws = cell_tables(n)
         self.snapshot = (self.pos[:], self.cap_at[:], self.n_captured)
 
     def _reset(self) -> None:
@@ -266,7 +274,7 @@ class SearchRoot(SearchNode):
         # the playout's acceptance rule: Stay, or a cell that is not locked
         kids = [
             SearchNode(act, mv, q)
-            for mv, q in zip(self.moves[p], self.steps[p][0])
+            for mv, q in zip(self.moves[p], self.dests[p])
             if q == p or not cap_at[q]
         ]
         leaf.children = kids
@@ -301,7 +309,7 @@ class SearchRoot(SearchNode):
         pos = self.pos
         goal_at = self.goal_at
         cap_at = self.cap_at
-        steps = self.steps
+        draws = self.draws
         shaping = self.shaping
         n_cap = self.n_captured
 
@@ -335,10 +343,10 @@ class SearchRoot(SearchNode):
             for a in movers:
                 # a mover stands on no goal, so only a locked neighbour
                 # or the sentinel, never Stay, is redrawn
-                draws = steps[pos[a]][1]
-                q = draws[rand(6)]
+                table = draws[pos[a]]
+                q = table[rand(6)]
                 while cap_at[q]:
-                    q = draws[rand(6)]
+                    q = table[rand(6)]
                 pos[a] = q
                 # q is legal here, so any goal it lands on is free
                 if goal_at[q]:
@@ -380,22 +388,41 @@ class SearchRoot(SearchNode):
         select and backpropagate are looked up as module globals
         at call time, so a tracer that rebinds them sees every step.
         budget.t_final must equal params.t_final; plan_move checks it.
+        The cyclic collector is paused for the loop (_collector_paused).
         """
         rule = self.params.update_rule
         c = budget.exploration_c
         rand = rng.getrandbits
-        for _ in range(budget.iterations):
-            path = select(self, c)
-            depth = self._realize(path[1:])
-            leaf = path[-1]
-            child = self._grow(leaf, depth)
-            if child is not None:
-                depth += 1
-                if child is not leaf:
-                    path.append(child)
-                    self._realize((child,))
-            backpropagate(path, self._playout(depth, rand), rule)
-            self._reset()
+        with _collector_paused():
+            for _ in range(budget.iterations):
+                path = select(self, c)
+                depth = self._realize(path[1:])
+                leaf = path[-1]
+                child = self._grow(leaf, depth)
+                if child is not None:
+                    depth += 1
+                    if child is not leaf:
+                        path.append(child)
+                        self._realize((child,))
+                backpropagate(path, self._playout(depth, rand), rule)
+                self._reset()
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector; on every exit leave it as it was found,
+    as timeit does. A plan tree holds no reference cycle
+    (test_plan_move_leaves_no_cyclic_garbage and
+    test_episode_leaves_no_cyclic_garbage), so reference counting frees
+    all of it: a collection during a search would only scan the tree.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> SearchRoot:
@@ -576,5 +603,11 @@ def plan_move(
         return Move.STAY
     if is_terminal(state, budget.t_final):
         raise ValueError("cannot plan from a terminal state")
-    root.run(budget, rng)
-    return best_action(root)
+    with _collector_paused():
+        root.run(budget, rng)
+        move = best_action(root)
+        # freed while the collector is still paused: every node of the
+        # tree counts as a young object, and the first allocation after
+        # the pause would start a collection that scans them all
+        del root
+    return move

@@ -128,9 +128,9 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     n = instance.grid.n
-    moves, steps = cell_tables(n)
+    moves, dests, _ = cell_tables(n)
     goal = {g.row * n + g.col for g in instance.goals}
-    opts = [(c,) if c in goal else steps[c][0] for c in range(n * n)]
+    opts = [(c,) if c in goal else dests[c] for c in range(n * n)]
     src = [p.row * n + p.col for p in instance.starts]
     flow: set = set()
     for horizon in range(t_final + 1):
@@ -145,7 +145,7 @@ def exact_joint_search(instance: Instance, t_final: int) -> OracleResult:
                     path = [c]
                     for t in range(horizon):
                         path.append(went[t, path[-1]])
-                    plan.append(tuple(moves[a][steps[a][0].index(b)] for a, b in zip(path, path[1:])))
+                    plan.append(tuple(moves[a][dests[a].index(b)] for a, b in zip(path, path[1:])))
                 return OracleResult(True, horizon, tuple(plan))
             # residual moves: an out half takes every edge its unit does not
             # and, on a used node, backs into its in half; a used in half

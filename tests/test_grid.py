@@ -176,8 +176,8 @@ def test_legal_moves_canonical_order_and_stay(s):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_cell_tables_match_the_public_moves(n):
     # the per-cell table the tree search and the exact oracle step from
-    moves, steps = cell_tables(n)
-    assert len(moves) == len(steps) == n * n
+    moves, dests_at, draws_at = cell_tables(n)
+    assert len(moves) == len(dests_at) == len(draws_at) == n * n
     for cell in range(n * n):
         here = Position(*divmod(cell, n))
         # a lone live agent: its free goal elsewhere locks nothing
@@ -188,15 +188,16 @@ def test_cell_tables_match_the_public_moves(n):
         )
         assert dests[-1] == cell
         draws = tuple(dests[r % len(dests)] for r in range(60)) + (n * n,) * 4
-        assert steps[cell] == (dests, draws)
+        assert dests_at[cell] == dests
+        assert draws_at[cell] == draws
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_draw_table_fills_sixty_entries_evenly_and_four_with_the_sentinel(n):
     # a six-bit draw r < 60 must land on every destination equally often,
     # and r >= 60 on the sentinel, one past the last cell
-    _, steps = cell_tables(n)
-    for cell, (dests, draws) in enumerate(steps):
+    _, dests_at, draws_at = cell_tables(n)
+    for dests, draws in zip(dests_at, draws_at, strict=True):
         assert len(draws) == 64
         assert len(dests) in (3, 4, 5)
         assert all(draws[:60].count(q) == 60 // len(dests) for q in dests)

@@ -570,7 +570,7 @@ def test_accepted_draws_are_uniform_over_the_unlocked_legal_moves():
                 continue
             here = s.agent_pos[a]
             legal = [move_dest(here, mv) for mv in legal_moves(s, a)]
-            draws = root.steps[root.pos[a]][1]
+            draws = root.draws[root.pos[a]]
             accepted = [draws[r] for r in range(64) if not root.cap_at[draws[r]]]
             counts = {q: accepted.count(q) for q in set(accepted)}
             assert set(counts) == {q.row * n + q.col for q in legal}
@@ -584,6 +584,20 @@ def test_playout_keeps_its_board_out_of_closure_cells():
     # goal_at would make them closure cells, and every read of them in
     # the playout loop would go through an extra indirection
     assert SearchRoot._playout.__code__.co_cellvars == ()
+
+
+def test_root_board_is_plain_lists_of_ints():
+    # CPython specializes list subscripts and not bytearray ones: a board
+    # of bytearrays keeps every decision but slows every playout step, so
+    # no fingerprint can see it. Snapshot and reset must keep the lists
+    s = mk(5, [(0, 0), (2, 2), (4, 1)], [(4, 4), (2, 2), (0, 3)])
+    root = make_root(s, 0, params_for(s, 15))
+    boards = (root.pos, root.goal_at, root.cap_at)
+    root.run(SearchBudget(50, 15), Random(1))
+    assert (root.pos, root.goal_at, root.cap_at) == boards
+    for board in (root.pos, root.goal_at, root.cap_at, *root.snapshot[:2]):
+        assert type(board) is list
+        assert {type(v) for v in board} == {int}
 
 
 # ----------------------------------------------------------- backpropagate
@@ -777,6 +791,85 @@ def test_a_deep_chain_of_nodes_is_freed_without_error():
         del head, node
 
     assert _cyclic_garbage(build_and_drop) == 0
+
+
+# ------------------------------------------------------- collector pause
+
+
+@pytest.fixture
+def collector_state():
+    """Sets the collector on or off for a test; restores it after."""
+    was_enabled = gc.isenabled()
+
+    def set_to(on):
+        (gc.enable if on else gc.disable)()
+
+    yield set_to
+    set_to(was_enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_leaves_the_collector_as_it_found_it(collector_state, enabled):
+    s = mk(5, [(0, 0), (2, 2), (4, 1)], [(4, 4), (2, 2), (0, 3)])
+    p = params_for(s, 15)
+    b = SearchBudget(200, 15)
+    collector_state(enabled)
+    plan_move(s, 0, b, p, Random(1))
+    assert gc.isenabled() is enabled
+    # a captured planner returns before any search
+    assert plan_move(s, 1, b, p, Random(1)) is Move.STAY
+    assert gc.isenabled() is enabled
+    make_root(s, 2, p).run(b, Random(1))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_search_that_raises_still_restores_the_collector(
+    monkeypatch, collector_state, enabled
+):
+    import gridmcts.mcts as M
+
+    def select_failing_late(root, exploration_c):
+        if root.visits == 50:
+            raise RuntimeError("select failed")
+        return select(root, exploration_c)
+
+    monkeypatch.setattr(M, "select", select_failing_late)
+    s = mk(5, [(0, 0), (2, 2), (4, 1)], [(4, 4), (2, 2), (0, 3)])
+    p = params_for(s, 15)
+    b = SearchBudget(200, 15)
+    collector_state(enabled)
+    with pytest.raises(RuntimeError, match="select failed"):
+        plan_move(s, 0, b, p, Random(1))
+    assert gc.isenabled() is enabled
+    with pytest.raises(RuntimeError, match="select failed"):
+        make_root(s, 2, p).run(b, Random(1))
+    assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_during_a_plan(collector_state):
+    # one I=2000 plan on 10x10/10 allocates thousands of nodes, enough for
+    # many collections of the youngest generation were the collector on
+    # during the search, and for one more if the tree outlived the pause
+    inst = generate_instance(10, 10, 0, 0)
+    s = WorldState(10, 0, inst.starts, frozenset(inst.goals))
+    p = ValueParams(0.5, UpdateRule.MEAN, 10, 30, distance_weight=0.5)
+    b = SearchBudget(2000, 30)
+    make_root(s, 0, p)  # builds the goal tables, once per goal set
+    seen = []
+
+    def hook(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    collector_state(True)
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        plan_move(s, 0, b, p, Random(0))
+    finally:
+        gc.callbacks.remove(hook)
+    assert seen == []
 
 
 # ------------------------------------------------- engine <-> reference
