@@ -1,8 +1,9 @@
 """Batch benchmark runner and its command line front end.
 
 Runs size families of generated instances through full episodes and
-reports per-run success rate, makespan, and planning-time aggregates as
-CSV. Two modes: a fixed-horizon accuracy run (default) and a horizon
+reports per-run success rate, makespan, planning-time aggregates and
+the exact optimum within the run's horizon (oracle.exact_joint_search)
+as CSV. Two modes: a fixed-horizon accuracy run (default) and a horizon
 sweep (--sweep-t-final) that aggregates success rate per horizon. Each
 call builds one task list, every horizon of a sweep included, and plays
 it in-process or through one pool of at most one process per task.
@@ -62,8 +63,9 @@ class RunRecord:
     total_time_s: float
     avg_agent_time_s: float
     max_agent_time_s: float
-    oracle_solvable: bool | None = None
-    oracle_makespan: int | None = None
+    oracle_solvable: bool
+    # None only when no plan reaches every goal within t_final
+    oracle_makespan: int | None
 
     def csv_row(self) -> list[str]:
         out = []
@@ -90,12 +92,12 @@ class SweepPoint:
 
 # task tuples keep the pool protocol picklable and version-agnostic:
 # (n, n_agents, k, rep, t_final, settings); settings, one per call, is
-# (master_seed, iterations, alpha, update_rule_value, exploration_c, oracle_check)
+# (master_seed, iterations, alpha, update_rule_value, exploration_c)
 
 
 def _execute_task(task) -> RunRecord:
     n, n_agents, k, rep, t_final, settings = task
-    master_seed, iterations, alpha, rule_value, exploration_c, oracle_check = settings
+    master_seed, iterations, alpha, rule_value, exploration_c = settings
     instance = generate_instance(n, n_agents, k, master_seed)
     episode_seed = mix_chain(master_seed, n, n_agents, k, rep)
     params_t = t_final if t_final >= 1 else 1  # horizon 0 never evaluates
@@ -117,12 +119,7 @@ def _execute_task(task) -> RunRecord:
         sum((row[a] for row in trace.plan_seconds), 0.0) for a in range(n_agents)
     ]
     total = sum(per_agent)
-    oracle_solvable = None
-    oracle_makespan = None
-    if oracle_check:
-        res = exact_joint_search(instance, t_final)
-        oracle_solvable = res.solvable_within
-        oracle_makespan = res.optimal_makespan
+    optimum = exact_joint_search(instance, t_final)
     return RunRecord(
         instance=instance.name,
         n=n,
@@ -140,8 +137,8 @@ def _execute_task(task) -> RunRecord:
         total_time_s=total,
         avg_agent_time_s=total / n_agents,
         max_agent_time_s=max(per_agent),
-        oracle_solvable=oracle_solvable,
-        oracle_makespan=oracle_makespan,
+        oracle_solvable=optimum.solvable_within,
+        oracle_makespan=optimum.optimal_makespan,
     )
 
 
@@ -178,7 +175,6 @@ def run_full_accuracy(
     exploration_c: float = DEFAULT_EXPLORATION_C,
     master_seed: int = 0,
     workers: int = 1,
-    oracle_check: bool = False,
 ) -> list[RunRecord]:
     """Run `instances` x `repeats` episodes for each (n, n_agents) size.
 
@@ -186,8 +182,7 @@ def run_full_accuracy(
     (sizes, then instance index, then repeat) regardless of worker
     count.
     """
-    settings = (master_seed, iterations, alpha, update_rule.value,
-                exploration_c, oracle_check)
+    settings = (master_seed, iterations, alpha, update_rule.value, exploration_c)
     return _run_tasks([
         (n, n_agents, k, rep, 3 * n if t_final is None else t_final, settings)
         for n, n_agents in sizes
@@ -216,8 +211,7 @@ def run_time_accuracy_sweep(
     seeds, so points differ only in how much time the agents get. With
     no runs (instances or repeats 0) there are no points.
     """
-    settings = (master_seed, iterations, alpha, update_rule.value,
-                exploration_c, False)
+    settings = (master_seed, iterations, alpha, update_rule.value, exploration_c)
     by_horizon = {tf: [] for tf in sorted(set(int(t) for t in t_finals))}
     for r in _run_tasks([
         (n, n_agents, k, rep, tf, settings)
@@ -315,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed; instances and episodes derive from it")
     p.add_argument("--iterations", type=_positive_int, default=2000,
                    help="search iterations per plan call (default 2000)")
-    p.add_argument("--t-final", type=_non_negative_int, default=None,
-                   help="episode horizon (default 3*N)")
     p.add_argument("--alpha", type=float, default=0.0, choices=[float(a) for a in _ALPHAS],
                    help="self-capture penalty weight (default 0.0)")
     p.add_argument("--update", choices=[r.value for r in UpdateRule], default="mean",
@@ -325,13 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="UCT exploration constant (default sqrt(2))")
     p.add_argument("--repeats", type=_positive_int, default=1,
                    help="episodes per instance (default 1)")
-    # the sweep has no oracle columns, so the two modes exclude each other
+    # the sweep takes its horizons from its range, so it excludes --t-final
     mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--t-final", type=_non_negative_int, default=None,
+                      help="episode horizon (default 3*N)")
     mode.add_argument("--sweep-t-final", type=_parse_sweep, default=None,
                       metavar="A:B:STEP",
                       help="sweep the horizon over a range instead of one accuracy run")
-    mode.add_argument("--oracle-check", action="store_true",
-                      help="also solve each instance exactly (optimal makespan)")
     p.add_argument("--out", default=None, metavar="CSV",
                    help="write CSV here (default stdout)")
     p.add_argument("--workers", type=_positive_int, default=1,
@@ -343,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the sweep takes its horizons from its range; --t-final would be dropped.
-    # Not a mutually exclusive group: --t-final with --oracle-check is valid.
-    if args.sweep_t_final is not None and args.t_final is not None:
-        parser.error("argument --t-final: not allowed with argument --sweep-t-final")
     try:
         GridConfig(args.grid_size, args.agents)
     except ValueError as e:
@@ -377,8 +365,7 @@ def main(argv=None) -> int:
                 )
         else:
             records = run_full_accuracy(
-                [(args.grid_size, args.agents)], t_final=args.t_final,
-                oracle_check=args.oracle_check, **shared)
+                [(args.grid_size, args.agents)], t_final=args.t_final, **shared)
             _write_records_csv(records, out)
             print(
                 f"{args.grid_size}x{args.grid_size}/{args.agents}: "

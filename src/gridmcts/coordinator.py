@@ -96,6 +96,10 @@ def merge_states(state: WorldState, proposals) -> WorldState:
     n_agents = state.n_agents
     if len(moves) != n_agents:
         raise ValueError(f"expected {n_agents} proposals, got {len(moves)}")
+    pos = state.agent_pos
+    if len(set(pos)) != n_agents:
+        i, j = next((i, j) for j in range(n_agents) for i in range(j) if pos[i] == pos[j])
+        raise ValueError(f"agents {i} and {j} share cell {pos[i]} before the merge")
     for i, m in enumerate(moves):
         if m not in legal_moves(state, i):
             raise ValueError(
@@ -120,6 +124,7 @@ def merge_states(state: WorldState, proposals) -> WorldState:
         if not changed:
             break
 
+    # an invariant, not an input check: distinct inputs stay distinct
     if len(set(final)) != n_agents:
         raise RuntimeError(f"merge left agents overlapping: {final}")
     return WorldState(state.n, state.t + 1, tuple(final), state.goals)

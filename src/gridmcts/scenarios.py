@@ -147,17 +147,26 @@ def write_instance(instance: Instance, path) -> None:
 
 def read_instance(path) -> Instance:
     """Load an instance; errors point at the offending 1-based line."""
-    name = None
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        # "x" stands in for the bad byte, so a line break just before it
+        # still opens the byte's own line
+        lineno = len((data[:e.start] + b"x").decode("ascii").splitlines())
+        raise ValueError(
+            f"line {lineno}: non-ASCII byte 0x{data[e.start]:02x}") from None
+    name = name_line = None
     gen_seed = 0
     rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             m = _META.match(line)
             if m:
-                name = m.group(1)
+                name, name_line = m.group(1), lineno
                 gen_seed = int(m.group(2))
             continue
         parts = line.split()
@@ -194,5 +203,9 @@ def read_instance(path) -> Instance:
         seen[(r, c)] = lineno
     cells = [Position(r, c) for _, r, c in body]
     if name is None:
-        name = instance_name(n, n_agents, 0)
-    return Instance(name, grid, tuple(cells[:n_agents]), tuple(cells[n_agents:]), gen_seed)
+        name, name_line = instance_name(n, n_agents, 0), head_line
+    try:
+        return Instance(name, grid, tuple(cells[:n_agents]), tuple(cells[n_agents:]), gen_seed)
+    except ValueError as e:
+        # every other field was checked above, so the name is what failed
+        raise ValueError(f"line {name_line}: {e}") from None

@@ -112,9 +112,7 @@ def test_criterion_03_oracle_agreement():
     checked = solved = 0
     ok = True
     for n, na in sizes:
-        recs = run_full_accuracy(
-            [(n, na)], instances=20, master_seed=7, oracle_check=True
-        )
+        recs = run_full_accuracy([(n, na)], instances=20, master_seed=7)
         for r in recs:
             checked += 1
             if r.oracle_solvable:

@@ -58,7 +58,12 @@ def test_record_invariants():
         assert r.makespan <= r.t_final == 15
         assert 0.0 <= r.avg_agent_time_s <= r.max_agent_time_s <= r.total_time_s
         assert r.instance == f"MP52-{r.instance_index}"
-        assert r.oracle_solvable is None and r.oracle_makespan is None
+        assert r.oracle_solvable in (True, False)
+        assert (r.oracle_makespan is not None) == r.oracle_solvable
+        if not r.oracle_solvable:
+            assert r.success_rate < 1.0
+        elif r.success_rate == 1.0:
+            assert r.makespan >= r.oracle_makespan
 
 
 def test_runs_are_reproducible():
@@ -76,17 +81,20 @@ def test_worker_count_does_not_change_results():
     a = run_full_accuracy([(4, 2)], **FAST, workers=1)
     b = run_full_accuracy([(4, 2)], **FAST, workers=2)
     for x, y in zip(a, b):
-        assert (x.instance, x.success_rate, x.makespan) == (
+        assert (x.instance, x.success_rate, x.makespan,
+                x.oracle_solvable, x.oracle_makespan) == (
             y.instance,
             y.success_rate,
             y.makespan,
+            y.oracle_solvable,
+            y.oracle_makespan,
         )
 
 
-def test_oracle_columns_filled_when_eligible():
+def test_oracle_columns_always_filled():
     # 8x8 with 4 agents is past the joint-state searches' reach
     records = run_full_accuracy(
-        [(4, 2), (8, 4)], instances=3, iterations=150, master_seed=3, oracle_check=True
+        [(4, 2), (8, 4)], instances=3, iterations=150, master_seed=3
     )
     assert len(records) == 6
     for r in records:
@@ -212,12 +220,11 @@ def test_parser_flags_exist():
             "--grid-size", "5", "--agents", "2", "--instances", "3",
             "--seed", "9", "--iterations", "50", "--t-final", "10",
             "--alpha", "0.5", "--update", "max", "--exploration-c", "1.0",
-            "--repeats", "2", "--out", "x.csv", "--oracle-check",
-            "--workers", "2",
+            "--repeats", "2", "--out", "x.csv", "--workers", "2",
         ]
     )
     assert args.grid_size == 5 and args.agents == 2
-    assert args.update == "max" and args.oracle_check
+    assert args.update == "max" and args.t_final == 10 and args.workers == 2
     sweep = p.parse_args(
         ["--grid-size", "5", "--agents", "2", "--sweep-t-final", "5:15:5"]
     )
@@ -363,17 +370,6 @@ def test_main_rejects_non_positive_counts(flag, value, capsys):
     capsys.readouterr()
 
 
-def test_main_rejects_oracle_check_in_sweep_mode(capsys):
-    # the sweep has no oracle path; the flag must not be dropped silently
-    with pytest.raises(SystemExit) as exc:
-        main(["--grid-size", "4", "--agents", "2", "--instances", "1",
-              "--iterations", "5", "--sweep-t-final", "0:2:1", "--oracle-check"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "--oracle-check" in err and "--sweep-t-final" in err
-
-
 def test_main_rejects_fixed_horizon_in_sweep_mode(capsys):
     # the sweep takes its horizons from its range; --t-final must not be
     # dropped silently
@@ -386,9 +382,9 @@ def test_main_rejects_fixed_horizon_in_sweep_mode(capsys):
     assert "--t-final" in err and "--sweep-t-final" in err
 
 
-def test_main_fixed_horizon_with_oracle_check_runs(capsys):
+def test_main_fixed_horizon_fills_the_oracle_columns(capsys):
     code = main(["--grid-size", "4", "--agents", "2", "--instances", "1",
-                 "--iterations", "20", "--t-final", "9", "--oracle-check"])
+                 "--iterations", "20", "--t-final", "9"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     idx = dict(zip(rows[0], range(len(rows[0]))))

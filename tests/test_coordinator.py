@@ -121,6 +121,14 @@ def test_merge_rejects_illegal_proposal():
         merge_states(s, [Move.STAY])  # wrong arity
 
 
+def test_merge_rejects_agents_sharing_a_cell():
+    # WorldState allows two live agents on one cell; merge_states rejects
+    # such an input up front, naming the agents, rather than blaming the merge
+    s = mk(5, [(4, 4), (0, 0), (0, 0)], [(2, 2), (3, 3), (1, 1)])
+    with pytest.raises(ValueError, match=r"agents 1 and 2 share cell Position\(row=0, col=0\)"):
+        merge_states(s, [Move.STAY, Move.STAY, Move.STAY])
+
+
 def test_merge_stress_invariants():
     """Randomized proposal sets: distinct cells, frozen agents, unit steps."""
     rng = Random(99)

@@ -166,7 +166,9 @@ def test_read_skips_comments_and_blanks(tmp_path):
 
 def _expect_error(tmp_path, text, fragment):
     p = tmp_path / "bad.txt"
-    p.write_text(text, encoding="ascii")
+    # latin-1 writes ASCII text byte for byte and lets a case hold one
+    # non-ASCII byte
+    p.write_text(text, encoding="latin-1")
     with pytest.raises(ValueError) as e:
         read_instance(p)
     assert fragment in str(e.value), str(e.value)
@@ -190,6 +192,19 @@ def test_read_error_line_numbers(tmp_path):
         "3 2\n0 0\n0 1\n2 2\n2 2\n",
         "line 5: cell (2, 2) duplicates line 4",
     )
+    # the name header disagrees with the size header below it
+    _expect_error(
+        tmp_path,
+        "#gridmcts name=MP53-1 gen_seed=0\n5 2\n0 0\n0 1\n2 2\n2 1\n",
+        "line 1: name 'MP53-1' says 5x5 with 3 agents",
+    )
+    _expect_error(
+        tmp_path,
+        "5 2\n# note\n#gridmcts name=MPx-1 gen_seed=0\n0 0\n0 1\n2 2\n2 1\n",
+        "line 3: malformed instance name 'MPx-1'",
+    )
+    _expect_error(tmp_path, "3 1\n0 0\n2 \xe92\n", "line 3: non-ASCII byte 0xe9")
+    _expect_error(tmp_path, "3 1\n\xe9\n", "line 2: non-ASCII byte 0xe9")
 
 
 def test_goal_may_duplicate_start(tmp_path):
