@@ -1,12 +1,15 @@
 """Batch benchmark runner and its command line front end.
 
-Runs size families of generated instances through full episodes and
-reports per-run success rate, makespan, planning-time aggregates and
-the exact optimum within the run's horizon (oracle.exact_joint_search)
-as CSV. Two modes: a fixed-horizon accuracy run (default) and a horizon
-sweep (--sweep-t-final) that aggregates success rate per horizon. Each
-call builds one task list, every horizon of a sweep included, and plays
-it in-process or through one pool of at most one process per task.
+Runs generated instances through full episodes; each run records its
+success rate, makespan, planning-time aggregates and the exact optimum
+within its horizon (oracle.exact_joint_search). A fixed-horizon
+accuracy run (default) writes one CSV row per run, and a horizon sweep
+(--sweep-t-final) one aggregate row per horizon. Both modes take one
+path: _play plays every instance and repeat of a list of (n, n_agents,
+t_final) boards, one per size or one per horizon, in-process or through
+one pool of at most one process per task; _aggregate turns each
+horizon's records into a SweepPoint, which is a sweep row and, in
+either mode, the stderr summary line; _write_csv writes either row type.
 
 Every run is reproducible from the master seed alone: instance layouts
 and episode seeds are both derived from it with the package's integer
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import multiprocessing
 import os
 import sys
@@ -67,13 +69,6 @@ class RunRecord:
     # None only when no plan reaches every goal within t_final
     oracle_makespan: int | None
 
-    def csv_row(self) -> list[str]:
-        out = []
-        for name in CSV_FIELDS:
-            v = getattr(self, name)
-            out.append("" if v is None else str(v))
-        return out
-
 
 # the CSV columns, in field order: the external contract of the CSV output
 CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
@@ -91,13 +86,13 @@ class SweepPoint:
 
 
 # task tuples keep the pool protocol picklable and version-agnostic:
-# (n, n_agents, k, rep, t_final, settings); settings, one per call, is
-# (master_seed, iterations, alpha, update_rule_value, exploration_c)
+# (n, n_agents, t_final, k, rep, master_seed, iterations, alpha,
+#  update_rule_value, exploration_c)
 
 
 def _execute_task(task) -> RunRecord:
-    n, n_agents, k, rep, t_final, settings = task
-    master_seed, iterations, alpha, rule_value, exploration_c = settings
+    (n, n_agents, t_final, k, rep,
+     master_seed, iterations, alpha, rule_value, exploration_c) = task
     instance = generate_instance(n, n_agents, k, master_seed)
     episode_seed = mix_chain(master_seed, n, n_agents, k, rep)
     params_t = t_final if t_final >= 1 else 1  # horizon 0 never evaluates
@@ -150,17 +145,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(tasks, workers: int) -> list[RunRecord]:
-    """Records of every task, in task order: played in-process, or
-    through one pool of at most one process per task and per usable CPU.
-    chunksize=1 deals out one episode at a time, so no worker gets a
-    batch of long ones.
+def _play(boards, instances: int, repeats: int, settings, workers: int) -> list[RunRecord]:
+    """Records of every instance and repeat of each (n, n_agents, t_final)
+    board, in task order (boards, then instance index, then repeat).
+    settings is (master_seed, iterations, alpha, update_rule_value,
+    exploration_c). The tasks play in-process, or through one pool of at
+    most one process per task and per usable CPU; chunksize=1 deals out
+    one episode at a time, so no worker gets a batch of long ones.
     """
+    tasks = [
+        (n, n_agents, t_final, k, rep, *settings)
+        for n, n_agents, t_final in boards
+        for k in range(instances)
+        for rep in range(repeats)
+    ]
     processes = min(workers, len(tasks), _usable_cpus())
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
             return pool.map(_execute_task, tasks, chunksize=1)
     return [_execute_task(t) for t in tasks]
+
+
+def _aggregate(records) -> list[SweepPoint]:
+    """One SweepPoint per horizon, in the order the records first reach
+    it; no records give no points."""
+    by_horizon: dict[int, list[RunRecord]] = {}
+    for r in records:
+        by_horizon.setdefault(r.t_final, []).append(r)
+    return [SweepPoint(
+        t_final=tf,
+        runs=len(rs),
+        mean_success_rate=sum(r.success_rate for r in rs) / len(rs),
+        full_success_fraction=sum(r.success_rate == 1.0 for r in rs) / len(rs),
+        mean_makespan=sum(r.makespan for r in rs) / len(rs),
+    ) for tf, rs in by_horizon.items()]
 
 
 def run_full_accuracy(
@@ -182,13 +200,9 @@ def run_full_accuracy(
     (sizes, then instance index, then repeat) regardless of worker
     count.
     """
+    boards = [(n, na, 3 * n if t_final is None else t_final) for n, na in sizes]
     settings = (master_seed, iterations, alpha, update_rule.value, exploration_c)
-    return _run_tasks([
-        (n, n_agents, k, rep, 3 * n if t_final is None else t_final, settings)
-        for n, n_agents in sizes
-        for k in range(instances)
-        for rep in range(repeats)
-    ], workers)
+    return _play(boards, instances, repeats, settings, workers)
 
 
 def run_time_accuracy_sweep(
@@ -211,47 +225,17 @@ def run_time_accuracy_sweep(
     seeds, so points differ only in how much time the agents get. With
     no runs (instances or repeats 0) there are no points.
     """
+    boards = [(n, n_agents, tf) for tf in sorted(set(int(t) for t in t_finals))]
     settings = (master_seed, iterations, alpha, update_rule.value, exploration_c)
-    by_horizon = {tf: [] for tf in sorted(set(int(t) for t in t_finals))}
-    for r in _run_tasks([
-        (n, n_agents, k, rep, tf, settings)
-        for tf in by_horizon
-        for k in range(instances)
-        for rep in range(repeats)
-    ], workers):
-        by_horizon[r.t_final].append(r)
-    return [SweepPoint(
-        t_final=tf,
-        runs=len(rs),
-        mean_success_rate=sum(r.success_rate for r in rs) / len(rs),
-        full_success_fraction=sum(r.success_rate == 1.0 for r in rs) / len(rs),
-        mean_makespan=sum(r.makespan for r in rs) / len(rs),
-    ) for tf, rs in by_horizon.items() if rs]
+    return _aggregate(_play(boards, instances, repeats, settings, workers))
 
 
-def _write_records_csv(records, out):
+def _write_csv(out, cls, rows) -> None:
+    """A header of cls's field names, then one line per dataclass row;
+    csv.writer writes None as an empty field and str() of any other value."""
     w = csv.writer(out)
-    w.writerow(CSV_FIELDS)
-    for r in records:
-        w.writerow(r.csv_row())
-
-
-def _write_sweep_csv(points, out):
-    w = csv.writer(out)
-    w.writerow(f.name for f in fields(SweepPoint))
-    for p in points:
-        w.writerow(astuple(p))
-
-
-def _summarize(records) -> str:
-    srs = [r.success_rate for r in records]
-    mks = [r.makespan for r in records]
-    tot = sum(r.total_time_s for r in records)
-    return (
-        f"runs={len(records)} mean_sr={sum(srs) / len(srs):.3f} "
-        f"full={sum(1 for x in srs if x == 1.0)}/{len(srs)} "
-        f"mean_makespan={sum(mks) / len(mks):.2f} plan_s={tot:.1f}"
-    )
+    w.writerow(f.name for f in fields(cls))
+    w.writerows(astuple(r) for r in rows)
 
 
 def _int_at_least(low: int, text: str) -> int:
@@ -345,31 +329,24 @@ def main(argv=None) -> int:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as e:
         parser.error(f"argument --out: cannot open {args.out!r}: {e.strerror}")
-    shared = dict(
-        instances=args.instances, repeats=args.repeats,
-        iterations=args.iterations, alpha=args.alpha,
-        update_rule=UpdateRule(args.update), exploration_c=args.exploration_c,
-        master_seed=args.seed, workers=args.workers,
-    )
+    n, k = args.grid_size, args.agents
+    # a sweep range holds at least one horizon
+    horizons = args.sweep_t_final or [3 * n if args.t_final is None else args.t_final]
+    settings = (args.seed, args.iterations, args.alpha, args.update, args.exploration_c)
     started = time.perf_counter()
     try:
-        if args.sweep_t_final is not None:
-            points = run_time_accuracy_sweep(
-                args.grid_size, args.agents, args.sweep_t_final, **shared)
-            _write_sweep_csv(points, out)
-            for pt in points:
-                print(
-                    f"t_final={pt.t_final}: mean_sr={pt.mean_success_rate:.3f} "
-                    f"over {pt.runs} runs",
-                    file=sys.stderr,
-                )
+        records = _play([(n, k, tf) for tf in horizons],
+                        args.instances, args.repeats, settings, args.workers)
+        points = _aggregate(records)
+        if args.sweep_t_final:
+            _write_csv(out, SweepPoint, points)
         else:
-            records = run_full_accuracy(
-                [(args.grid_size, args.agents)], t_final=args.t_final, **shared)
-            _write_records_csv(records, out)
+            _write_csv(out, RunRecord, records)
+        for p in points:
             print(
-                f"{args.grid_size}x{args.grid_size}/{args.agents}: "
-                f"{_summarize(records)}",
+                f"{n}x{n}/{k} t_final={p.t_final}: runs={p.runs} "
+                f"mean_sr={p.mean_success_rate:.3f} full={p.full_success_fraction:.3f} "
+                f"mean_makespan={p.mean_makespan:.2f}",
                 file=sys.stderr,
             )
     except Exception as e:  # noqa: BLE001 - CLI boundary, report and fail

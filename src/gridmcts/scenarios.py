@@ -12,7 +12,9 @@ File format, line oriented: first data line ``N N_A``, then N_A start
 rows ``row col``, then N_A goal rows. Blank lines and ``#`` comments are
 skipped anywhere. The writer leads with one comment carrying the name
 and generation seed so a write/read round trip reproduces the instance
-exactly; hand-written files without it get defaults.
+exactly; hand-written files without it get defaults. A comment whose
+first word is ``#gridmcts`` must be that header; a malformed one is an
+error, not a comment.
 """
 from __future__ import annotations
 
@@ -135,8 +137,13 @@ def generate_instance(n: int, n_agents: int, k: int, seed: int) -> Instance:
 
 
 def write_instance(instance: Instance, path) -> None:
-    """Save an instance in the line-oriented text format."""
-    lines = [f"#gridmcts name={instance.name} gen_seed={instance.gen_seed}"]
+    """Save an instance in the line-oriented text format. The header
+    carries the name as one word, so an empty name or one holding
+    whitespace cannot be written."""
+    header = f"#gridmcts name={instance.name} gen_seed={instance.gen_seed}"
+    if not _META.match(header):
+        raise ValueError(f"instance name {instance.name!r} must be one non-empty word")
+    lines = [header]
     lines.append(f"{instance.grid.n} {instance.grid.n_agents}")
     for p in instance.starts:
         lines.append(f"{p.row} {p.col}")
@@ -168,6 +175,10 @@ def read_instance(path) -> Instance:
             if m:
                 name, name_line = m.group(1), lineno
                 gen_seed = int(m.group(2))
+            elif line.split()[0] == "#gridmcts":
+                raise ValueError(
+                    f"line {lineno}: malformed header {raw!r}, "
+                    f"expected '#gridmcts name=NAME gen_seed=INT'")
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -12,6 +12,7 @@ from gridmcts import bench
 from gridmcts.bench import (
     CSV_FIELDS,
     RunRecord,
+    SweepPoint,
     build_parser,
     main,
     run_full_accuracy,
@@ -22,6 +23,13 @@ from gridmcts.scenarios import generate_instance
 from gridmcts.values import UpdateRule
 
 FAST = dict(instances=4, iterations=120, master_seed=11)
+
+
+def _csv_rows(cls, rows):
+    """rows as the bench's CSV writer writes them, read back as lists."""
+    buf = io.StringIO()
+    bench._write_csv(buf, cls, rows)
+    return list(csv.reader(io.StringIO(buf.getvalue())))
 
 
 def test_csv_fields_are_the_external_contract():
@@ -47,7 +55,8 @@ def test_csv_fields_are_the_external_contract():
     )
     # a record row must line up with the header
     rec = run_full_accuracy([(3, 1)], instances=1, iterations=20, master_seed=0)[0]
-    assert len(rec.csv_row()) == len(CSV_FIELDS)
+    header, row = _csv_rows(RunRecord, [rec])
+    assert tuple(header) == CSV_FIELDS and len(row) == len(CSV_FIELDS)
 
 
 def test_record_invariants():
@@ -139,9 +148,26 @@ def test_timing_fields_are_floats_when_no_plan_round_runs():
     rec = run_full_accuracy([(3, 1)], instances=1, iterations=5, t_final=0)[0]
     times = (rec.total_time_s, rec.avg_agent_time_s, rec.max_agent_time_s)
     assert all(type(x) is float and x == 0.0 for x in times)
-    row = dict(zip(CSV_FIELDS, rec.csv_row()))
+    row = dict(zip(*_csv_rows(RunRecord, [rec])))
     assert [row[k] for k in ("total_time_s", "avg_agent_time_s", "max_agent_time_s")] == [
         "0.0", "0.0", "0.0"]
+
+
+def test_sweep_point_is_the_accuracy_run_at_its_horizon():
+    # the sweep plays, at each horizon, exactly the runs of an accuracy
+    # run with that horizon, and aggregates them
+    kw = dict(instances=2, repeats=2, iterations=60, master_seed=9)
+    points = run_time_accuracy_sweep(4, 2, [4, 8], **kw)
+    assert [p.t_final for p in points] == [4, 8]
+    for p in points:
+        rs = run_full_accuracy([(4, 2)], t_final=p.t_final, **kw)
+        assert p == SweepPoint(
+            t_final=p.t_final,
+            runs=len(rs),
+            mean_success_rate=sum(r.success_rate for r in rs) / len(rs),
+            full_success_fraction=sum(r.success_rate == 1.0 for r in rs) / len(rs),
+            mean_makespan=sum(r.makespan for r in rs) / len(rs),
+        )
 
 
 def test_sweep_worker_count_does_not_change_points():
@@ -258,16 +284,16 @@ def test_main_writes_csv(tmp_path, capsys):
         rows = list(csv.reader(f))
     assert rows[0] == list(CSV_FIELDS)
     assert len(rows) == 3
-    assert "mean_sr" in capsys.readouterr().err
+    # the summary line of both modes: one per horizon, here the default 3N
+    assert "4x4/2 t_final=12: runs=2 mean_sr=" in capsys.readouterr().err
 
 
 def test_main_rejects_unwritable_out_before_running(tmp_path, monkeypatch, capsys):
     # a bad path must fail at once, not after every episode has run
-    def no_run(*args, **kwargs):
-        raise AssertionError("episodes ran before --out was opened")
+    def no_run(task):
+        raise AssertionError("an episode ran before --out was opened")
 
-    monkeypatch.setattr(bench, "run_full_accuracy", no_run)
-    monkeypatch.setattr(bench, "run_time_accuracy_sweep", no_run)
+    monkeypatch.setattr(bench, "_execute_task", no_run)
     bad = str(tmp_path / "missing" / "x.csv")
     for extra in ([], ["--sweep-t-final", "3:6:3"]):
         with pytest.raises(SystemExit) as exc:
@@ -352,7 +378,7 @@ def test_main_sweep_mode(tmp_path, capsys):
     assert rows[0] == ["t_final", "runs", "mean_success_rate",
                        "full_success_fraction", "mean_makespan"]
     assert [r[0] for r in rows[1:]] == ["3", "6", "9"]
-    assert "t_final=9" in capsys.readouterr().err
+    assert "3x3/1 t_final=9: runs=4 mean_sr=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--instances", "--repeats", "--iterations", "--workers"])

@@ -143,6 +143,12 @@ def test_roundtrip_identity(tmp_path):
         p = tmp_path / f"{i.name}.txt"
         write_instance(i, p)
         assert read_instance(p) == i
+    # a name the one-word header cannot carry would read back as another
+    # instance, so it is refused at write time
+    for bad in ("", "my run", "a\tb"):
+        i = Instance(bad, GridConfig(3, 1), ((0, 0),), ((2, 2),), 7)
+        with pytest.raises(ValueError, match="must be one non-empty word"):
+            write_instance(i, tmp_path / "bad.txt")
 
 
 def test_frozen_fixture_layout():
@@ -203,6 +209,12 @@ def test_read_error_line_numbers(tmp_path):
         "5 2\n# note\n#gridmcts name=MPx-1 gen_seed=0\n0 0\n0 1\n2 2\n2 1\n",
         "line 3: malformed instance name 'MPx-1'",
     )
+    # a #gridmcts line is the header or an error, never a plain comment
+    body = "5 2\n0 0\n0 1\n2 2\n2 1\n"
+    _expect_error(tmp_path, "#gridmcts name=MP52-1 gen_seed=x\n" + body,
+                  "line 1: malformed header")
+    _expect_error(tmp_path, "# note\n#gridmcts  name=MP52-1\n" + body,
+                  "line 2: malformed header")
     _expect_error(tmp_path, "3 1\n0 0\n2 \xe92\n", "line 3: non-ASCII byte 0xe9")
     _expect_error(tmp_path, "3 1\n\xe9\n", "line 2: non-ASCII byte 0xe9")
 
