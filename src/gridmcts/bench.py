@@ -152,7 +152,11 @@ def _play(boards, instances: int, repeats: int, settings, workers: int) -> list[
     exploration_c). The tasks play in-process, or through one pool of at
     most one process per task and per usable CPU; chunksize=1 deals out
     one episode at a time, so no worker gets a batch of long ones.
+    A horizon that is not an int raises TypeError before any episode plays.
     """
+    for _, _, t_final in boards:
+        if not isinstance(t_final, int):
+            raise TypeError(f"t_final must be an int, got {t_final!r}")
     tasks = [
         (n, n_agents, t_final, k, rep, *settings)
         for n, n_agents, t_final in boards
@@ -225,7 +229,7 @@ def run_time_accuracy_sweep(
     seeds, so points differ only in how much time the agents get. With
     no runs (instances or repeats 0) there are no points.
     """
-    boards = [(n, n_agents, tf) for tf in sorted(set(int(t) for t in t_finals))]
+    boards = [(n, n_agents, tf) for tf in sorted(set(t_finals))]
     settings = (master_seed, iterations, alpha, update_rule.value, exploration_c)
     return _aggregate(_play(boards, instances, repeats, settings, workers))
 

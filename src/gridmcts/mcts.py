@@ -66,9 +66,9 @@ rejects both a locked goal and ``r >= 60``. A live agent never stands
 on a goal, so its Stay cell is never locked.
 
 The board is lists of ints, not bytearrays: CPython specializes list
-subscripts, not bytearray ones. The cyclic collector is paused while a
-tree grows, and in plan_move until the tree is freed: a tree holds no
-cycle for it to find.
+subscripts, not bytearray ones. plan_move pauses the cyclic collector
+while its tree grows and until the tree is freed: a tree holds no cycle
+for it to find.
 """
 from __future__ import annotations
 
@@ -387,25 +387,24 @@ class SearchRoot(SearchNode):
         board. Playouts draw through rng.getrandbits, six bits a step.
         select and backpropagate are looked up as module globals
         at call time, so a tracer that rebinds them sees every step.
-        budget.t_final must equal params.t_final; plan_move checks it.
-        The cyclic collector is paused for the loop (_collector_paused).
+        budget.t_final must equal params.t_final; plan_move checks it,
+        and pauses the cyclic collector around this loop.
         """
         rule = self.params.update_rule
         c = budget.exploration_c
         rand = rng.getrandbits
-        with _collector_paused():
-            for _ in range(budget.iterations):
-                path = select(self, c)
-                depth = self._realize(path[1:])
-                leaf = path[-1]
-                child = self._grow(leaf, depth)
-                if child is not None:
-                    depth += 1
-                    if child is not leaf:
-                        path.append(child)
-                        self._realize((child,))
-                backpropagate(path, self._playout(depth, rand), rule)
-                self._reset()
+        for _ in range(budget.iterations):
+            path = select(self, c)
+            depth = self._realize(path[1:])
+            leaf = path[-1]
+            child = self._grow(leaf, depth)
+            if child is not None:
+                depth += 1
+                if child is not leaf:
+                    path.append(child)
+                    self._realize((child,))
+            backpropagate(path, self._playout(depth, rand), rule)
+            self._reset()
 
 
 @contextmanager

@@ -269,8 +269,13 @@ def certify_unsolvable(instance: Instance) -> tuple[Position, ...]:
     the bipartite graph of live agents and free goals by that
     reachability and returns the goals a maximum matching leaves
     unmatched, in sorted order. A non-empty result certifies that the
-    instance can never be fully solved. An empty one proves nothing:
-    agents can still block each other.
+    instance can never be fully solved. An empty one certifies that it
+    is solvable within k * (n * n - 1) turns for k agents. Swaps are
+    legal and only goals wall a goal-walled path, so given a perfect
+    matching the agents can walk their matched paths one at a time,
+    swapping past any live agent in the way. The swapped agent steps to
+    an adjacent non-goal cell, the one the walker left, and so keeps
+    every goal it could reach.
     """
     n = instance.grid.n
     starts, goals, cap0 = _flatten(instance)

@@ -170,6 +170,19 @@ def test_sweep_point_is_the_accuracy_run_at_its_horizon():
         )
 
 
+@pytest.mark.parametrize("play", [
+    lambda: run_time_accuracy_sweep(3, 1, [2.7], iterations=5),
+    lambda: run_full_accuracy([(3, 1)], instances=1, iterations=5, t_final=2.7),
+], ids=["sweep", "accuracy"])
+def test_a_non_integer_horizon_fails_before_any_episode(play, monkeypatch):
+    def no_run(task):
+        raise AssertionError("an episode ran with a non-integer horizon")
+
+    monkeypatch.setattr(bench, "_execute_task", no_run)
+    with pytest.raises(TypeError, match="t_final must be an int, got 2.7"):
+        play()
+
+
 def test_sweep_worker_count_does_not_change_points():
     kw = dict(instances=2, repeats=2, iterations=60, master_seed=6)
     assert run_time_accuracy_sweep(4, 2, [8, 3, 5], **kw, workers=1) == (

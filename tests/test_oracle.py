@@ -223,6 +223,10 @@ def test_flow_witness_bound_certificate_and_horizon_agree(i, data):
     r = exact_joint_search(i, tf)
     if certify_unsolvable(i):
         assert not r.solvable_within
+    else:
+        # the certificate is exact: uncertified means solvable within k(n^2-1)
+        k, n = i.grid.n_agents, i.grid.n
+        assert exact_joint_search(i, k * n * n).solvable_within
     if r.solvable_within:
         _assert_witness_replays(i, r)
         assert r.optimal_makespan >= assignment_lower_bound(i)

@@ -1,5 +1,7 @@
 """Package-wide properties of src/gridmcts."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +28,21 @@ def test_the_package_imports_only_itself_and_the_standard_library():
             assert top == "gridmcts" or top in sys.stdlib_module_names, (path.name, name)
             found.add(top)
     assert found - {"gridmcts"}
+
+
+def _modules_loaded_by(statement):
+    """gridmcts modules in sys.modules after `statement` in a fresh interpreter."""
+    probe = (f"import sys; {statement}; "
+             "print(sorted(m for m in sys.modules if m.startswith('gridmcts')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    return ast.literal_eval(out)
+
+
+def test_importing_a_module_loads_only_that_module():
+    # the package root re-exports nothing, so it pulls in no module
+    assert _modules_loaded_by("import gridmcts") == ["gridmcts"]
+    assert _modules_loaded_by("import gridmcts.seeds") == ["gridmcts", "gridmcts.seeds"]
