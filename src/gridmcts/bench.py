@@ -152,10 +152,11 @@ def _play(boards, instances: int, repeats: int, settings, workers: int) -> list[
     exploration_c). The tasks play in-process, or through one pool of at
     most one process per task and per usable CPU; chunksize=1 deals out
     one episode at a time, so no worker gets a batch of long ones.
-    A horizon that is not an int raises TypeError before any episode plays.
+    A horizon that is not an int, or is a bool, raises TypeError before
+    any episode plays.
     """
     for _, _, t_final in boards:
-        if not isinstance(t_final, int):
+        if not isinstance(t_final, int) or isinstance(t_final, bool):
             raise TypeError(f"t_final must be an int, got {t_final!r}")
     tasks = [
         (n, n_agents, t_final, k, rep, *settings)

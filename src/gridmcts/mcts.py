@@ -61,9 +61,12 @@ repeats too. m + 1 is 3, 4 or 5, a divisor of 60, so every accepted
 draw is exactly uniform over legal moves. Captured agents act
 deterministically and consume no randomness. The engine reads the
 destination straight from grid.cell_tables' 64-entry draw table, whose
-entries 60-63 are a sentinel cell the board keeps locked, so one test
-rejects both a locked goal and ``r >= 60``. A live agent never stands
-on a goal, so its Stay cell is never locked.
+entries 60-63 are a sentinel cell the board flags as a goal and keeps
+locked, so one test rejects both a locked goal and ``r >= 60``. Only
+goal cells and the sentinel are ever locked, so a step that lands on a
+plain cell, the common case, is screened by its one goal test and never
+reads the locks. A live agent never stands on a goal, so its Stay cell
+is never locked.
 
 The board is lists of ints, not bytearrays: CPython specializes list
 subscripts, not bytearray ones. plan_move pauses the cyclic collector
@@ -89,6 +92,10 @@ from .grid import (
 from .values import NodeStats, UpdateRule, ValueParams, distance_cap
 
 DEFAULT_EXPLORATION_C = math.sqrt(2)
+
+# _LOGS[i] is math.log(i), and _LOGS[0] is 0.0, the log term of a node
+# with no visits; select grows it on demand, so importing builds nothing
+_LOGS = [0.0]
 
 
 @lru_cache(maxsize=1)
@@ -175,39 +182,44 @@ class SearchNode:
 class SearchRoot(SearchNode):
     """Root of a plan tree and its search session.
 
-    Holds the full world state, the context of the whole tree (planning
-    agent, value parameters, turn order), the leaf distance term's lookup
-    data and the flat-indexed scratch board every search step runs on:
+    Holds the context of the whole tree (planning agent, value
+    parameters, turn order, the root state's clock t0 and the horizon
+    t_final), the leaf distance term's lookup data and the flat-indexed
+    scratch board every search step runs on:
     pos, the agent cells; goal_at and cap_at, a 0/1 flag per goal cell
     and per locked goal cell; and the captured count. All three are
-    lists of ints. cap_at has one entry past the last cell, always 1:
-    the locked sentinel that the playout's draw table maps r >= 60 to.
+    lists of ints. goal_at and cap_at have one entry past the last cell,
+    always 1 in both: the sentinel that the playout's draw table maps
+    r >= 60 to, flagged as a goal so that the playout's one goal test
+    sends it to the redraw loop, and locked so that the loop rejects it.
     As in grid.WorldState, an agent is captured exactly when its cell is
     a goal, so the board keeps no per-agent flag.
     Between steps the board equals its snapshot taken here; _reset()
     restores it in place, so the lists keep their identity.
     """
 
-    __slots__ = ("state", "planning_agent", "params", "order", "shaping",
-                 "pos", "goal_at", "cap_at", "n_captured",
+    __slots__ = ("planning_agent", "params", "order", "shaping",
+                 "t0", "t_final", "pos", "goal_at", "cap_at", "n_captured",
                  "moves", "dests", "draws", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
         super().__init__(None, None, None)
-        self.state = state
         self.planning_agent = planning_agent
         self.params = params
         self.order = (planning_agent,) + tuple(
             a for a in range(state.n_agents) if a != planning_agent
         )
+        self.t0 = state.t
+        self.t_final = params.t_final
         n = state.n
         # (weight, near, cap): cap is the distance at which the term saturates
         w = params.distance_weight
         self.shaping = (w, _goal_tables(n, state.goals), distance_cap(n)) if w else None
         self.pos = [p.row * n + p.col for p in state.agent_pos]
-        self.goal_at = [0] * (n * n)
+        self.goal_at = [0] * (n * n + 1)
         for g in state.goals:
             self.goal_at[g.row * n + g.col] = 1
+        self.goal_at[n * n] = 1
         self.cap_at = [0] * (n * n + 1)
         self.cap_at[n * n] = 1
         for cell in self.pos:
@@ -262,7 +274,7 @@ class SearchRoot(SearchNode):
         # tp > 0 implies the horizon is not reached: a mid-turn level shares
         # its turn with the level above it, and only non-terminal levels
         # grow
-        if self.n_captured == len(order) or self.state.t + turns >= self.params.t_final:
+        if self.n_captured == len(order) or self.t0 + turns >= self.t_final:
             return None
         act = order[tp]
         p = self.pos[act]
@@ -295,15 +307,17 @@ class SearchRoot(SearchNode):
         evaluated node too, before the playout moves anyone.
 
         Only live agents draw, so the loop walks a list of them, in turn
-        order. After a partial first turn it is rebuilt from the full
-        order; after a turn with a capture the current list is filtered.
+        order. It is rebuilt from the full order after every turn that
+        changed the captured count, and after a partial first turn.
         `rand` is the rng's getrandbits: each step draws six bits and
-        reads its destination from the mover's cell's draw table,
-        redrawing while that destination is locked, a locked goal or the
-        sentinel (see the module docstring).
+        reads its destination from the mover's cell's draw table. Only a
+        goal cell or the sentinel can be locked, so only a destination
+        flagged in goal_at enters the redraw loop, which redraws while
+        the destination is locked, a locked goal or the sentinel (see
+        the module docstring), and captures if it ends on a goal.
         """
         params = self.params
-        t_final = params.t_final
+        t_final = self.t_final
         order = self.order
         n_agents = len(order)
         pos = self.pos
@@ -314,7 +328,7 @@ class SearchRoot(SearchNode):
         n_cap = self.n_captured
 
         t, tp = divmod(depth, n_agents)
-        t += self.state.t
+        t += self.t0
         node_time = t if tp == 0 else t + 1
         live = n_agents - n_cap
         if shaping is not None and live:
@@ -337,34 +351,35 @@ class SearchRoot(SearchNode):
         for a in order[tp:]:
             if not goal_at[pos[a]]:
                 movers.append(a)
-        partial = tp != 0
-        while t < t_final:
-            captured = False
+        # n_cap when movers was last built; -1 rebuilds it after a
+        # partial first turn
+        built = n_cap if tp == 0 else -1
+        # with no live agent there is no turn to play, not even an empty one
+        for _ in range(t_final - t if live else 0):
             for a in movers:
                 # a mover stands on no goal, so only a locked neighbour
                 # or the sentinel, never Stay, is redrawn
                 table = draws[pos[a]]
                 q = table[rand(6)]
-                while cap_at[q]:
-                    q = table[rand(6)]
-                pos[a] = q
-                # q is legal here, so any goal it lands on is free
                 if goal_at[q]:
-                    cap_at[q] = 1
-                    n_cap += 1
-                    captured = True
-            # an agent is captured only by its own draw, so the last live
-            # agent is the last mover of the turn that captures everyone
-            if n_cap == n_agents:
-                break
-            t += 1
-            if partial or captured:
-                kept = order if partial else movers
+                    while cap_at[q]:
+                        q = table[rand(6)]
+                    # q is legal here, so any goal it lands on is free
+                    if goal_at[q]:
+                        cap_at[q] = 1
+                        n_cap += 1
+                pos[a] = q
+            if n_cap != built:
+                # an agent is captured only by its own draw, so the last
+                # live agent is the last mover of the turn that captures
+                # everyone
+                if n_cap == n_agents:
+                    break
+                built = n_cap
                 movers = []
-                for a in kept:
+                for a in order:
                     if not goal_at[pos[a]]:
                         movers.append(a)
-                partial = False
 
         # same operation order as value_mod + depth_adjusted, so results are
         # bit-identical to the public value pipeline
@@ -386,25 +401,28 @@ class SearchRoot(SearchNode):
         the terminal leaf, backs the sample up the path and resets the
         board. Playouts draw through rng.getrandbits, six bits a step.
         select and backpropagate are looked up as module globals
-        at call time, so a tracer that rebinds them sees every step.
+        at call time, so a tracer that rebinds them sees every step; the
+        four board methods are bound once, when the loop starts.
         budget.t_final must equal params.t_final; plan_move checks it,
         and pauses the cyclic collector around this loop.
         """
         rule = self.params.update_rule
         c = budget.exploration_c
         rand = rng.getrandbits
+        realize, grow = self._realize, self._grow
+        playout, reset = self._playout, self._reset
         for _ in range(budget.iterations):
             path = select(self, c)
-            depth = self._realize(path[1:])
+            depth = realize(path[1:])
             leaf = path[-1]
-            child = self._grow(leaf, depth)
+            child = grow(leaf, depth)
             if child is not None:
                 depth += 1
                 if child is not leaf:
                     path.append(child)
-                    self._realize((child,))
-            backpropagate(path, self._playout(depth, rand), rule)
-            self._reset()
+                    realize((child,))
+            backpropagate(path, playout(depth, rand), rule)
+            reset()
 
 
 @contextmanager
@@ -458,7 +476,10 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     wins. Ties go to the earliest child, which is canonical move order.
     The parent count is node.visits - node.stay_visits: the node's own
     visits, or, below counted Stay-only levels, the visits of the last
-    of them (see SearchNode).
+    of them (see SearchNode). Its log is read from the module's table
+    _LOGS, which _log_of extends the first time a count is past its end;
+    a count of 0 reads 0.0. The count is never negative: a node's visits
+    only grow after stay_visits copies them.
 
     No score is computed where the rule has no choice: a lone child is
     taken as it is, and when the last child is unvisited the first
@@ -470,10 +491,11 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
     """
     path = [root]
     node = root
-    log = math.log
+    logs = _LOGS
     sqrt = math.sqrt
-    while node.children:
-        kids = node.children
+    ninf = -math.inf
+    kids = root.children
+    while kids:
         if not kids[-1].visits:
             for best in kids:
                 if not best.visits:
@@ -482,9 +504,12 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
             best = kids[0]
         else:
             nv = node.visits - node.stay_visits
-            lp = log(nv) if nv > 0 else 0.0
+            try:
+                lp = logs[nv]
+            except IndexError:
+                lp = _log_of(nv)
             best = None
-            best_score = -math.inf
+            best_score = ninf
             for ch in kids:
                 v = ch.visits
                 if v == 0:
@@ -496,7 +521,17 @@ def select(root: SearchNode, exploration_c: float = DEFAULT_EXPLORATION_C) -> li
                     best = ch
         node = best
         path.append(node)
+        kids = node.children
     return path
+
+
+def _log_of(n: int) -> float:
+    """math.log(n), after extending _LOGS with the logs of every count
+    from its end up to n and no further. Kept out of select: before
+    CPython 3.12 a comprehension there would make its locals closure
+    cells, and every read of them slower."""
+    _LOGS.extend(map(math.log, range(len(_LOGS), n + 1)))
+    return _LOGS[n]
 
 
 def expand(path: list[SearchNode]) -> SearchNode:
@@ -540,16 +575,15 @@ def backpropagate(path: list[SearchNode], value: float, rule: UpdateRule) -> Non
 
     Field writes are inlined for speed but must stay equivalent to
     values.update_value; the test suite checks the two against each
-    other sample by sample.
+    other sample by sample. The mean update has no first-visit branch:
+    at 0 visits, (0 * nd.value + value) / 1 equals the sample for any
+    finite nd.value, and a node starts at 0.0.
     """
     if rule is UpdateRule.MEAN:
         for nd in path:
-            k = nd.visits + 1
-            if k == 1:
-                nd.value = value
-            else:
-                nd.value = ((k - 1) * nd.value + value) / k
-            nd.visits = k
+            v = nd.visits
+            nd.value = (v * nd.value + value) / (v + 1)
+            nd.visits = v + 1
     elif rule is UpdateRule.MAX:
         for nd in path:
             if nd.visits == 0 or value > nd.value:

@@ -170,17 +170,20 @@ def test_sweep_point_is_the_accuracy_run_at_its_horizon():
         )
 
 
-@pytest.mark.parametrize("play", [
-    lambda: run_time_accuracy_sweep(3, 1, [2.7], iterations=5),
-    lambda: run_full_accuracy([(3, 1)], instances=1, iterations=5, t_final=2.7),
-], ids=["sweep", "accuracy"])
-def test_a_non_integer_horizon_fails_before_any_episode(play, monkeypatch):
+@pytest.mark.parametrize("play, horizon", [
+    (lambda tf: run_time_accuracy_sweep(3, 1, [tf], iterations=5), 2.7),
+    (lambda tf: run_full_accuracy([(3, 1)], instances=1, iterations=5, t_final=tf), 2.7),
+    # a bool is an int to isinstance, and True would play horizon 1
+    (lambda tf: run_time_accuracy_sweep(3, 1, [tf], iterations=5), True),
+    (lambda tf: run_full_accuracy([(3, 1)], instances=1, iterations=5, t_final=tf), True),
+], ids=["sweep", "accuracy", "sweep-bool", "accuracy-bool"])
+def test_a_non_integer_horizon_fails_before_any_episode(play, horizon, monkeypatch):
     def no_run(task):
         raise AssertionError("an episode ran with a non-integer horizon")
 
     monkeypatch.setattr(bench, "_execute_task", no_run)
-    with pytest.raises(TypeError, match="t_final must be an int, got 2.7"):
-        play()
+    with pytest.raises(TypeError, match=f"t_final must be an int, got {horizon}$"):
+        play(horizon)
 
 
 def test_sweep_worker_count_does_not_change_points():

@@ -2,6 +2,9 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -496,6 +499,50 @@ def test_select_equals_plain_uct_from_every_node_of_grown_trees():
     assert min(kinds) > 100, kinds
 
 
+def _scored_root(visits, stay_visits):
+    """A root whose five children are all visited, so select scores
+    them; at c = 1 with a parent count of several hundred or more the
+    rarely visited child 2 wins, and with a log term of 0.0 child 0,
+    the best value, does."""
+    s = mk(5, [(2, 2)], [(4, 4)])
+    root = make_root(s, 0, params_for(s, 15))
+    expand([root])
+    for child, v, k in zip(root.children, [0.9, 0.6, 0.5, 0.4, 0.3],
+                           [3000, 100, 20, 400, 900]):
+        child.value, child.visits = v, k
+    root.visits, root.stay_visits = visits, stay_visits
+    return root
+
+
+def test_select_reads_the_log_table_as_the_closed_form_uct():
+    import gridmcts.mcts as M
+
+    # a parent count past the table's end, read through its growth
+    nv = len(M._LOGS) + 777
+    root = _scored_root(nv, 0)
+    assert select(root, 1.0)[1] is _uct_child(root, 1.0) is root.children[2]
+    assert len(M._LOGS) == nv + 1
+    # a parent count of 0, all visits taken by counted Stay-only levels
+    root = _scored_root(4420, 4420)
+    assert select(root, 1.0)[1] is _uct_child(root, 1.0) is root.children[0]
+
+
+def test_log_table_holds_exact_logs_up_to_the_largest_count_read(monkeypatch):
+    import gridmcts.mcts as M
+
+    # importing builds nothing: the table starts as [0.0]
+    probe = "import gridmcts.mcts as M; print(M._LOGS)"
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[0.0]"
+    monkeypatch.setattr(M, "_LOGS", [0.0])
+    select(_scored_root(5003, 0), 1.0)
+    assert len(M._LOGS) == 5004
+    assert M._LOGS[0] == 0.0
+    assert all(M._LOGS[i].hex() == math.log(i).hex() for i in range(1, 5004))
+
+
 # ----------------------------------------------------------------- rollout
 
 
@@ -549,6 +596,39 @@ def test_rollout_sample_matches_full_copy_reference():
         pairs += 1
 
 
+def test_a_redraw_from_a_lock_onto_a_free_goal_captures_as_the_reference_does():
+    # agent 0 in the middle of a 3x3 board: above it a goal agent 1
+    # holds, to its left a free goal. A first draw on the locked goal or
+    # on the sentinel is redrawn; a redraw onto the free goal captures,
+    # which ends the playout. Seeds for both kinds are found by a scan
+    s = mk(3, [(1, 1), (0, 1)], [(0, 1), (1, 0)])
+    p = params_for(s, 9)
+    root = make_root(s, 0, p)
+    draws = root.draws[root.pos[0]]
+    sentinel = len(root.cap_at) - 1
+    free_goal = 1 * 3 + 0
+    found = {}
+    for seed in range(10_000):
+        bits = Random(seed)
+        first, second = draws[bits.getrandbits(6)], draws[bits.getrandbits(6)]
+        if second == free_goal and root.cap_at[first]:
+            found.setdefault(first == sentinel, seed)
+        if len(found) == 2:
+            break
+    assert len(found) == 2, found
+    tree = RefTree(s, 0, p)
+    for seed in found.values():
+        got_rng, want_rng = Random(seed), Random(seed)
+        got = rollout([root], got_rng)
+        assert got == ref_rollout(tree, tree.root, want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
+        assert got == depth_adjusted(value_mod(2, True, p), 0, p)
+        # two draws and no more
+        spent = Random(seed)
+        spent.getrandbits(6), spent.getrandbits(6)
+        assert got_rng.getstate() == spent.getstate()
+
+
 def test_accepted_draws_are_uniform_over_the_unlocked_legal_moves():
     # every six-bit value r, read through the mover's draw table and the
     # root board's locks, the sentinel's included: the values the playout
@@ -584,6 +664,9 @@ def test_playout_keeps_its_board_out_of_closure_cells():
     # goal_at would make them closure cells, and every read of them in
     # the playout loop would go through an extra indirection
     assert SearchRoot._playout.__code__.co_cellvars == ()
+    # the same holds for select's locals, which is why the log table
+    # grows in a helper and not in a generator expression inside select
+    assert select.__code__.co_cellvars == ()
 
 
 def test_root_board_is_plain_lists_of_ints():
@@ -593,8 +676,14 @@ def test_root_board_is_plain_lists_of_ints():
     s = mk(5, [(0, 0), (2, 2), (4, 1)], [(4, 4), (2, 2), (0, 3)])
     root = make_root(s, 0, params_for(s, 15))
     boards = (root.pos, root.goal_at, root.cap_at)
+    # goal_at flags the sentinel past the last cell as a goal too, so
+    # the playout's one goal test sends it to the redraw loop
+    built = root.goal_at[:]
+    assert len(built) == 5 * 5 + 1 and built[-1] == 1
     root.run(SearchBudget(50, 15), Random(1))
     assert (root.pos, root.goal_at, root.cap_at) == boards
+    assert all(now is then for now, then in zip((root.pos, root.goal_at, root.cap_at), boards))
+    assert root.goal_at == built
     for board in (root.pos, root.goal_at, root.cap_at, *root.snapshot[:2]):
         assert type(board) is list
         assert {type(v) for v in board} == {int}
@@ -1331,6 +1420,9 @@ def _grow_counting_past_the_end(self, leaf, depth):
     return first
 
 
+# entry i holds the log of i + 1, not of i
+_LOGS_SHIFTED = [math.log(i + 1) for i in range(4096)]
+
 _ALL = ("captured", "shaped", "crowded")
 
 # fault: (owner, name, broken, the scenarios whose twin must see it); an
@@ -1343,6 +1435,7 @@ _BOARD_FAULTS = {
     "reset-last-cell": (SearchRoot, "_reset", _reset_all_but_the_last_cell, _ALL),
     "select-raw-visits": (None, "select", _select_with_raw_visits, ("crowded",)),
     "stay-on-terminal": (SearchRoot, "_grow", _grow_counting_past_the_end, ("crowded",)),
+    "log-table-shifted": (None, "_LOGS", _LOGS_SHIFTED, _ALL),
 }
 
 
