@@ -37,7 +37,7 @@ from .mcts import DEFAULT_EXPLORATION_C, SearchBudget
 from .oracle import exact_joint_search
 from .scenarios import generate_instance
 from .seeds import mix_chain
-from .values import _ALPHAS, UpdateRule, ValueParams
+from .values import _ALPHAS, UpdateRule, ValueParams, _require_int
 
 # weight of the leaf distance term in benchmark episodes. 0.5 is the
 # only nonzero weight tried; held-out master seeds 1-4 confirmed it
@@ -156,8 +156,7 @@ def _play(boards, instances: int, repeats: int, settings, workers: int) -> list[
     any episode plays.
     """
     for _, _, t_final in boards:
-        if not isinstance(t_final, int) or isinstance(t_final, bool):
-            raise TypeError(f"t_final must be an int, got {t_final!r}")
+        _require_int("t_final", t_final)
     tasks = [
         (n, n_agents, t_final, k, rep, *settings)
         for n, n_agents, t_final in boards

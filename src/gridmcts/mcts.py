@@ -22,10 +22,15 @@ its visits when its last level was counted.
 Node deltas, not full states: a node stores only (agent, move, dest). The
 root is the search session: it owns one mutable scratch board and
 realizes a node's state by applying the deltas on its path to it. The
-playout then mutates the same board in place, and a snapshot of the root
-board is restored by slice assignment after every sample, so no N x N
-grid is ever rebuilt during search and nothing is undone step by step.
-plan_move and the public expand and rollout all run on that board. Its
+playout then mutates the same board in place, and after every sample
+the board is reset from a snapshot of the root's: the agent cells are
+copied back and the goals free at the root unlocked, the only entries a
+step can change, so no N x N grid is ever rebuilt or copied during
+search and nothing is undone step by step. A terminal leaf (everyone
+captured, or the horizon reached) never grows and its playout draws
+nothing, so its sample is fixed: a search keeps the first one and backs
+it up again whenever select returns that leaf, with no board work at
+all. plan_move and the public expand and rollout all run on that board. Its
 one check is the full-copy twin in tests/reference.py, which builds the
 same trees from whole WorldStates and must match them bit for bit.
 
@@ -89,7 +94,7 @@ from .grid import (
     goal_walled_distances,
     is_terminal,
 )
-from .values import NodeStats, UpdateRule, ValueParams, distance_cap
+from .values import NodeStats, UpdateRule, ValueParams, _require_int, distance_cap
 
 DEFAULT_EXPLORATION_C = math.sqrt(2)
 
@@ -100,8 +105,12 @@ _LOGS = [0.0]
 
 @lru_cache(maxsize=1)
 def _goal_tables(n: int, goals: frozenset):
-    """near[cell]: (distance, goal cell) for every goal an agent on `cell`
-    can capture, nearest first, distances clipped at distance_cap(n).
+    """(near, first_d, first_g): near[cell] holds (distance, goal cell)
+    for every goal an agent on `cell` can capture, nearest first,
+    distances clipped at distance_cap(n); first_d[cell] and first_g[cell]
+    are its first entry, flat, so the common lookup, a nearest goal still
+    free, reads no tuple. A cell that reaches no goal gets distance_cap(n)
+    and the sentinel cell n * n, which the board keeps locked.
 
     Captured goals are listed too and skipped at lookup time, so one
     table serves every node of every tree over this goal set. One entry
@@ -113,7 +122,10 @@ def _goal_tables(n: int, goals: frozenset):
         gcell = g.row * n + g.col
         for p, d in goal_walled_distances(n, goals, g).items():
             near[p.row * n + p.col].append((min(d, cap), gcell))
-    return tuple(tuple(sorted(lst)) for lst in near)
+    near = tuple(tuple(sorted(lst)) for lst in near)
+    first_d = [lst[0][0] if lst else cap for lst in near]
+    first_g = [lst[0][1] if lst else n * n for lst in near]
+    return near, first_d, first_g
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,8 @@ class SearchBudget:
     exploration_c: float = DEFAULT_EXPLORATION_C
 
     def __post_init__(self) -> None:
+        _require_int("iterations", self.iterations)
+        _require_int("t_final", self.t_final)
         if self.iterations < 1:
             raise ValueError(f"iterations must be positive, got {self.iterations}")
         if self.t_final < 0:
@@ -184,8 +198,8 @@ class SearchRoot(SearchNode):
 
     Holds the context of the whole tree (planning agent, value
     parameters, turn order, the root state's clock t0 and the horizon
-    t_final), the leaf distance term's lookup data and the flat-indexed
-    scratch board every search step runs on:
+    t_final), the leaf distance term's lookup data (_goal_tables' three
+    tables) and the flat-indexed scratch board every search step runs on:
     pos, the agent cells; goal_at and cap_at, a 0/1 flag per goal cell
     and per locked goal cell; and the captured count. All three are
     lists of ints. goal_at and cap_at have one entry past the last cell,
@@ -194,8 +208,11 @@ class SearchRoot(SearchNode):
     sends it to the redraw loop, and locked so that the loop rejects it.
     As in grid.WorldState, an agent is captured exactly when its cell is
     a goal, so the board keeps no per-agent flag.
-    Between steps the board equals its snapshot taken here; _reset()
-    restores it in place, so the lists keep their identity.
+    Between steps the board equals its state built here. The snapshot
+    holds what a step can change: the agent cells, the goal cells free
+    here, as a list, and the captured count; _reset() restores the board
+    from it in place, so the lists keep their identity, and goals locked
+    here stay locked.
     """
 
     __slots__ = ("planning_agent", "params", "order", "shaping",
@@ -212,9 +229,10 @@ class SearchRoot(SearchNode):
         self.t0 = state.t
         self.t_final = params.t_final
         n = state.n
-        # (weight, near, cap): cap is the distance at which the term saturates
+        # (weight, near, first_d, first_g, cap): cap is the distance at
+        # which the term saturates
         w = params.distance_weight
-        self.shaping = (w, _goal_tables(n, state.goals), distance_cap(n)) if w else None
+        self.shaping = (w, *_goal_tables(n, state.goals), distance_cap(n)) if w else None
         self.pos = [p.row * n + p.col for p in state.agent_pos]
         self.goal_at = [0] * (n * n + 1)
         for g in state.goals:
@@ -226,12 +244,19 @@ class SearchRoot(SearchNode):
             self.cap_at[cell] = self.goal_at[cell]
         self.n_captured = sum(state.captured)
         self.moves, self.dests, self.draws = cell_tables(n)
-        self.snapshot = (self.pos[:], self.cap_at[:], self.n_captured)
+        free = [c for c in range(n * n) if self.goal_at[c] and not self.cap_at[c]]
+        self.snapshot = (self.pos[:], free, self.n_captured)
 
     def _reset(self) -> None:
-        pos, cap_at, self.n_captured = self.snapshot
+        """Restore the board to its snapshot. A step only moves agents and
+        locks free goals, so the agent cells are copied back and only the
+        goals free at the root are unlocked; the rest of cap_at, like
+        goal_at, never changes."""
+        pos, free, self.n_captured = self.snapshot
         self.pos[:] = pos
-        self.cap_at[:] = cap_at
+        cap_at = self.cap_at
+        for g in free:
+            cap_at[g] = 0
 
     def _realize(self, nodes) -> int:
         """Apply the deltas of `nodes`, the path below the root in order,
@@ -283,12 +308,13 @@ class SearchRoot(SearchNode):
             leaf.stay_visits = leaf.visits
             return leaf
         cap_at = self.cap_at
-        # the playout's acceptance rule: Stay, or a cell that is not locked
-        kids = [
-            SearchNode(act, mv, q)
-            for mv, q in zip(self.moves[p], self.dests[p])
-            if q == p or not cap_at[q]
-        ]
+        # the playout's acceptance rule: Stay, or a cell that is not locked.
+        # A plain loop, as in _playout: a comprehension would make act,
+        # cap_at and p closure cells before CPython 3.12
+        kids = []
+        for mv, q in zip(self.moves[p], self.dests[p]):
+            if q == p or not cap_at[q]:
+                kids.append(SearchNode(act, mv, q))
         leaf.children = kids
         return kids[0]
 
@@ -332,11 +358,16 @@ class SearchRoot(SearchNode):
         node_time = t if tp == 0 else t + 1
         live = n_agents - n_cap
         if shaping is not None and live:
-            w, near, cap = shaping
+            w, near, first_d, first_g, cap = shaping
             dist_sum = 0
             for p in pos:
                 if goal_at[p]:
                     continue
+                if not cap_at[first_g[p]]:
+                    dist_sum += first_d[p]
+                    continue
+                # the nearest goal is locked (or, for a cell that reaches
+                # no goal, is the sentinel): scan the rest
                 d = cap
                 for dg, gcell in near[p]:
                     if not cap_at[gcell]:
@@ -398,9 +429,14 @@ class SearchRoot(SearchNode):
         Each iteration selects a leaf, realizes it on the board, grows it
         by one level unless it is terminal, rolls out from that level
         (its first child, or the Stay-only level counted on it) or from
-        the terminal leaf, backs the sample up the path and resets the
-        board. Playouts draw through rng.getrandbits, six bits a step.
-        select and backpropagate are looked up as module globals
+        the terminal leaf, resets the board and backs the sample up the
+        path. Playouts draw through rng.getrandbits, six bits a step.
+
+        A terminal leaf never grows and its playout draws nothing, so its
+        sample is fixed by its path: the first one is kept in a map local
+        to this call, and a later selection of that leaf backs the kept
+        sample up without touching the board. select and backpropagate
+        are still called on every iteration, looked up as module globals
         at call time, so a tracer that rebinds them sees every step; the
         four board methods are bound once, when the loop starts.
         budget.t_final must equal params.t_final; plan_move checks it,
@@ -411,18 +447,25 @@ class SearchRoot(SearchNode):
         rand = rng.getrandbits
         realize, grow = self._realize, self._grow
         playout, reset = self._playout, self._reset
+        # terminal leaf -> its sample
+        terminal = {}
         for _ in range(budget.iterations):
             path = select(self, c)
-            depth = realize(path[1:])
             leaf = path[-1]
-            child = grow(leaf, depth)
-            if child is not None:
-                depth += 1
-                if child is not leaf:
-                    path.append(child)
-                    realize((child,))
-            backpropagate(path, playout(depth, rand), rule)
-            reset()
+            value = terminal.get(leaf)
+            if value is None:
+                depth = realize(path[1:])
+                child = grow(leaf, depth)
+                if child is None:
+                    value = terminal[leaf] = playout(depth, rand)
+                else:
+                    depth += 1
+                    if child is not leaf:
+                        path.append(child)
+                        realize((child,))
+                    value = playout(depth, rand)
+                reset()
+            backpropagate(path, value, rule)
 
 
 @contextmanager

@@ -21,6 +21,13 @@ class UpdateRule(Enum):
 _ALPHAS = (0, 0.5, 1)
 
 
+def _require_int(name: str, value) -> None:
+    """Raise TypeError naming `name` unless `value` is an int and not a
+    bool: a float count fails deep inside a search, and True counts as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ValueParams:
     """Shaping knobs shared by every evaluation in one search.
@@ -44,6 +51,8 @@ class ValueParams:
     distance_weight: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_int("n_agents", self.n_agents)
+        _require_int("t_final", self.t_final)
         if self.alpha not in _ALPHAS:
             raise ValueError(f"alpha must be one of {_ALPHAS}, got {self.alpha}")
         if not isinstance(self.update_rule, UpdateRule):

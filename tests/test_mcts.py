@@ -26,6 +26,7 @@ from gridmcts.mcts import (
     SearchBudget,
     SearchNode,
     SearchRoot,
+    _goal_tables,
     backpropagate,
     best_action,
     expand,
@@ -40,6 +41,7 @@ from gridmcts.values import (
     ValueParams,
     depth_adjusted,
     distance_adjusted,
+    distance_cap,
     update_value,
     value_mod,
 )
@@ -122,6 +124,20 @@ def test_budget_validation():
         with pytest.raises(ValueError, match="exploration_c"):
             SearchBudget(5, 10, c)
     assert SearchBudget(5, 10).exploration_c == DEFAULT_EXPLORATION_C
+
+
+@pytest.mark.parametrize("field, args, bad", [
+    # a float count used to fail only inside the search loop, a bool
+    # planned one iteration, and a float horizon passed plan_move's
+    # agreement check (12.0 == 12) before failing in the playout
+    ("iterations", (2.5, 12), 2.5),
+    ("iterations", (True, 12), True),
+    ("t_final", (5, 12.0), 12.0),
+    ("t_final", (5, False), False),
+], ids=["iterations-float", "iterations-bool", "t_final-float", "t_final-bool"])
+def test_budget_rejects_a_count_that_is_not_an_int(field, args, bad):
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {bad!r}$"):
+        SearchBudget(*args)
 
 
 # --------------------------------------------------------------- make_root
@@ -667,6 +683,10 @@ def test_playout_keeps_its_board_out_of_closure_cells():
     # the same holds for select's locals, which is why the log table
     # grows in a helper and not in a generator expression inside select
     assert select.__code__.co_cellvars == ()
+    # and for the other steps of every iteration: _grow builds its
+    # children with a plain loop for this reason
+    for step in (SearchRoot._grow, SearchRoot._realize, SearchRoot._reset, SearchRoot.run):
+        assert step.__code__.co_cellvars == (), step.__name__
 
 
 def test_root_board_is_plain_lists_of_ints():
@@ -680,10 +700,17 @@ def test_root_board_is_plain_lists_of_ints():
     # the playout's one goal test sends it to the redraw loop
     built = root.goal_at[:]
     assert len(built) == 5 * 5 + 1 and built[-1] == 1
+    # the snapshot keeps the agent cells and the goals free at the root,
+    # the only cells a step can lock; goal (2, 2), held by agent 1, and
+    # the sentinel are locked here and must stay locked
+    locked = root.cap_at[:]
+    assert [c for c in range(5 * 5 + 1) if locked[c]] == [2 * 5 + 2, 5 * 5]
+    assert root.snapshot[:2] == ([0, 12, 21], [3, 24])
     root.run(SearchBudget(50, 15), Random(1))
     assert (root.pos, root.goal_at, root.cap_at) == boards
     assert all(now is then for now, then in zip((root.pos, root.goal_at, root.cap_at), boards))
     assert root.goal_at == built
+    assert root.cap_at == locked
     for board in (root.pos, root.goal_at, root.cap_at, *root.snapshot[:2]):
         assert type(board) is list
         assert {type(v) for v in board} == {int}
@@ -1100,6 +1127,46 @@ def test_distance_term_uses_goal_walled_path_in_mp88_pocket():
 # -------------------------------- engine <-> reference, distance term on
 
 
+def test_the_nearest_goal_shortcut_equals_the_nearest_first_scan():
+    # a 5x5 board with 4 goals: agent 0 on every non-goal cell in turn,
+    # under every set of locked goals, each held by an agent of its own,
+    # and the other agents live on the first free non-goal cells. (0, 1)
+    # and (1, 0) wall the corner off from the other two goals, so with
+    # both locked it reaches no free goal. At the horizon the playout
+    # draws nothing and the distance term is all that tells the samples
+    # of the two weights apart. With all four goals locked nobody is live
+    n = 5
+    goals = [Position(0, 1), Position(1, 0), Position(2, 3), Position(4, 4)]
+    near = _goal_tables(n, frozenset(goals))[0]
+    cap = distance_cap(n)
+
+    def scan(cell, locked_cells):
+        for d, g in near[cell]:
+            if g not in locked_cells:
+                return d
+        return cap
+
+    plain_cells = [p for p in (Position(*divmod(c, n)) for c in range(n * n)) if p not in goals]
+    seen = set()
+    for mask in range(2 ** len(goals) - 1):
+        locked = [g for i, g in enumerate(goals) if mask >> i & 1]
+        locked_cells = {g.row * n + g.col for g in locked}
+        for p in plain_cells:
+            others = [q for q in plain_cells if q != p][:len(goals) - 1 - len(locked)]
+            s = mk(n, [p, *others, *locked], goals, t=10)
+            want = [scan(q.row * n + q.col, locked_cells) for q in (p, *others)]
+            assert want == [min(d, cap) for d in ref_goal_distances(s)]
+            plain = params_for(s, 10)
+            shaped = dataclasses.replace(plain, distance_weight=0.5)
+            got = rollout([make_root(s, 0, shaped)], Random(0))
+            assert got == distance_adjusted(
+                rollout([make_root(s, 0, plain)], Random(0)), want, n, shaped)
+            cell = p.row * n + p.col
+            seen.add((near[cell][0][1] in locked_cells, want[0] == cap))
+    # agent 0's nearest goal free, locked with another free, and none free
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 def test_shaped_rollout_sample_matches_full_copy_reference():
     meta = Random(2025)
     pairs = 0
@@ -1368,6 +1435,63 @@ def test_public_steps_leave_the_session_board_clean():
     assert rejected > 0
 
 
+def _terminal_reuse_scenarios():
+    # the crowded fault state two turns from its horizon, where most
+    # leaves are terminal by the horizon, and three agents next to their
+    # goals, whose full-capture leaves the search keeps returning to
+    crowded = mk(4, [(0, 0), (2, 2), (3, 3), (1, 2)], [(2, 2), (3, 3), (0, 3), (3, 0)], t=10)
+    near = mk(4, [(0, 0), (3, 3), (2, 1)], [(0, 1), (3, 2), (1, 1)])
+    shaped = dataclasses.replace(params_for(near, 12), distance_weight=0.5)
+    return [(crowded, params_for(crowded, 12), SearchBudget(500, 12)),
+            (near, shaped, SearchBudget(500, 12))]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_a_terminal_leaf_is_played_out_once_per_search(monkeypatch, case):
+    import gridmcts.mcts as M
+
+    s, p, b = _terminal_reuse_scenarios()[case]
+    selected, played = {}, {}
+    n_playouts, grown_to_none = 0, None
+    real_select, real_grow, real_playout = M.select, SearchRoot._grow, SearchRoot._playout
+
+    def recording_select(root, c):
+        path = real_select(root, c)
+        selected[path[-1]] = selected.get(path[-1], 0) + 1
+        return path
+
+    def recording_grow(self, leaf, depth):
+        nonlocal grown_to_none
+        first = real_grow(self, leaf, depth)
+        grown_to_none = leaf if first is None else None
+        return first
+
+    def recording_playout(self, depth, rand):
+        nonlocal n_playouts, grown_to_none
+        n_playouts += 1
+        if grown_to_none is not None:
+            played[grown_to_none] = played.get(grown_to_none, 0) + 1
+            grown_to_none = None
+        return real_playout(self, depth, rand)
+
+    monkeypatch.setattr(M, "select", recording_select)
+    monkeypatch.setattr(SearchRoot, "_grow", recording_grow)
+    monkeypatch.setattr(SearchRoot, "_playout", recording_playout)
+    root = make_root(s, 0, p)
+    got_rng, want_rng = Random(17), Random(17)
+    root.run(b, got_rng)
+    monkeypatch.undo()
+    # every terminal leaf is played out once, however often it is
+    # selected, and every other iteration plays out once
+    assert played and set(played.values()) == {1}
+    assert max(selected[leaf] for leaf in played) >= 3
+    assert all(leaf.visits >= selected[leaf] for leaf in played)
+    assert n_playouts == b.iterations - sum(selected[leaf] - 1 for leaf in played)
+    diffs = compare_trees(ref_plan_tree(s, 0, b, p, want_rng).root, root)
+    assert not diffs, diffs[:4]
+    assert got_rng.getstate() == want_rng.getstate()
+
+
 # ------------------------------- the twin catches every scratch-board fault
 
 
@@ -1390,9 +1514,39 @@ def _realize_without_count(self, nodes):
 
 
 def _reset_all_but_the_last_cell(self):
-    pos, cap_at, self.n_captured = self.snapshot
+    pos, free, self.n_captured = self.snapshot
     self.pos[:-1] = pos[:-1]
-    self.cap_at[:] = cap_at
+    for g in free:
+        self.cap_at[g] = 0
+
+
+def _reset_all_but_one_free_goal(self):
+    # the first goal free at the root stays locked once a step takes it
+    pos, free, self.n_captured = self.snapshot
+    self.pos[:] = pos
+    for g in free[1:]:
+        self.cap_at[g] = 0
+
+
+def _run_reusing_every_leafs_first_sample(self, budget, rng):
+    # SearchRoot.run with its terminal map keyed by every leaf: a leaf
+    # whose Stay-only level was counted stays a leaf, and is then backed
+    # up with its first sample and never grown again
+    samples = {}
+    for _ in range(budget.iterations):
+        path = select(self, budget.exploration_c)
+        leaf = path[-1]
+        if leaf not in samples:
+            depth = self._realize(path[1:])
+            child = self._grow(leaf, depth)
+            if child is not None:
+                depth += 1
+                if child is not leaf:
+                    path.append(child)
+                    self._realize((child,))
+            samples[leaf] = self._playout(depth, rng.getrandbits)
+            self._reset()
+        backpropagate(path, samples[leaf], self.params.update_rule)
 
 
 def _select_with_raw_visits(root, exploration_c):
@@ -1428,11 +1582,16 @@ _ALL = ("captured", "shaped", "crowded")
 # fault: (owner, name, broken, the scenarios whose twin must see it); an
 # owner of None is the gridmcts.mcts module. Only the crowded tree has
 # both scored nodes below counted Stay-only levels and terminal leaves,
-# which the last two faults need
+# which select-raw-visits and stay-on-terminal need; reuse-every-leaf
+# needs a leaf selected again after a Stay-only level was counted on it,
+# which the shaped tree, with no agent on a goal at its root, never has
 _BOARD_FAULTS = {
     "realize-no-lock": (SearchRoot, "_realize", _realize_without_lock, _ALL),
     "realize-no-count": (SearchRoot, "_realize", _realize_without_count, _ALL),
     "reset-last-cell": (SearchRoot, "_reset", _reset_all_but_the_last_cell, _ALL),
+    "reset-one-goal-locked": (SearchRoot, "_reset", _reset_all_but_one_free_goal, _ALL),
+    "reuse-every-leaf": (SearchRoot, "run", _run_reusing_every_leafs_first_sample,
+                         ("captured", "crowded")),
     "select-raw-visits": (None, "select", _select_with_raw_visits, ("crowded",)),
     "stay-on-terminal": (SearchRoot, "_grow", _grow_counting_past_the_end, ("crowded",)),
     "log-table-shifted": (None, "_LOGS", _LOGS_SHIFTED, _ALL),

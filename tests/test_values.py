@@ -43,6 +43,14 @@ def test_params_validation():
         params(t_final=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n_agents", 4.0), ("n_agents", True), ("t_final", 10.0), ("t_final", True),
+])
+def test_params_reject_a_count_that_is_not_an_int(field, bad):
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {bad!r}$"):
+        params(**{field: bad})
+
+
 # ------------------------------------------------------------ value_naive
 
 
