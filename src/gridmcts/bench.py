@@ -32,12 +32,12 @@ import time
 from dataclasses import astuple, dataclass, fields
 
 from .coordinator import EpisodeConfig, run_episode
-from .grid import GridConfig
+from .grid import GridConfig, _require_int
 from .mcts import DEFAULT_EXPLORATION_C, SearchBudget
 from .oracle import exact_joint_search
 from .scenarios import generate_instance
 from .seeds import mix_chain
-from .values import _ALPHAS, UpdateRule, ValueParams, _require_int
+from .values import _ALPHAS, UpdateRule, ValueParams
 
 # weight of the leaf distance term in benchmark episodes. 0.5 is the
 # only nonzero weight tried; held-out master seeds 1-4 confirmed it

@@ -91,6 +91,13 @@ def cell_tables(n: int):
     return tuple(moves), tuple(dests), tuple(draws)
 
 
+def _require_int(name: str, value) -> None:
+    """Raise TypeError naming `name` unless `value` is an int and not a
+    bool: a float count fails deep inside a search, and True counts as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Board size and population. Every agent has exactly one goal, so
@@ -100,6 +107,8 @@ class GridConfig:
     n_agents: int
 
     def __post_init__(self) -> None:
+        _require_int("n", self.n)
+        _require_int("n_agents", self.n_agents)
         if self.n < 2:
             raise ValueError(f"grid size must be at least 2, got {self.n}")
         if self.n_agents < 1:

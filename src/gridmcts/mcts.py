@@ -90,11 +90,12 @@ from random import Random
 from .grid import (
     Move,
     WorldState,
+    _require_int,
     cell_tables,
     goal_walled_distances,
     is_terminal,
 )
-from .values import NodeStats, UpdateRule, ValueParams, _require_int, distance_cap
+from .values import NodeStats, UpdateRule, ValueParams, distance_cap
 
 DEFAULT_EXPLORATION_C = math.sqrt(2)
 
@@ -143,6 +144,9 @@ class SearchBudget:
             raise ValueError(f"iterations must be positive, got {self.iterations}")
         if self.t_final < 0:
             raise ValueError(f"t_final must be non-negative, got {self.t_final}")
+        # math.isfinite(True) holds, so a bool would pass as 1.0
+        if isinstance(self.exploration_c, bool):
+            raise TypeError(f"exploration_c must be a number, got {self.exploration_c!r}")
         if not (math.isfinite(self.exploration_c) and self.exploration_c >= 0):
             raise ValueError(
                 f"exploration_c must be finite and non-negative, got {self.exploration_c}"

@@ -1,4 +1,4 @@
-"""Problem instances: naming, generation, and the on-disk format.
+"""Problem instances: naming and generation.
 
 An instance is a board size plus matching start and goal cell lists.
 Names follow ``MP{N}{N_A}-{k}``, e.g. MP52-1 for the second generated
@@ -8,19 +8,13 @@ with 6); for exactly those pairs the name switches to an explicit
 ``MP{N}x{N_A}-{k}`` form, and parsing accepts the concatenated form
 only when a single size pair explains it.
 
-File format, line oriented: first data line ``N N_A``, then N_A start
-rows ``row col``, then N_A goal rows. Blank lines and ``#`` comments are
-skipped anywhere. The writer leads with one comment carrying the name
-and generation seed so a write/read round trip reproduces the instance
-exactly; hand-written files without it get defaults. A comment whose
-first word is ``#gridmcts`` must be that header; a malformed one is an
-error, not a comment.
+Instances are never stored: ``generate_instance`` rebuilds each one
+from its name and a master seed.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 
 from .grid import GridConfig, Position
@@ -28,7 +22,6 @@ from .seeds import mix_chain
 
 _NAME_X = re.compile(r"^MP(\d+)x(\d+)-(\d+)$")
 _NAME_CAT = re.compile(r"^MP(\d+)-(\d+)$")
-_META = re.compile(r"^#gridmcts\s+name=(\S+)\s+gen_seed=(-?\d+)\s*$")
 
 
 def _size_splits(digits: str) -> list[tuple[int, int]]:
@@ -95,7 +88,6 @@ class Instance:
     grid: GridConfig
     starts: tuple[Position, ...]
     goals: tuple[Position, ...]
-    gen_seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "starts", tuple(Position(*p) for p in self.starts))
@@ -125,98 +117,12 @@ def generate_instance(n: int, n_agents: int, k: int, seed: int) -> Instance:
     """Deterministically sample the k-th instance of a size family.
 
     2 * n_agents distinct cells are drawn from the board; the first half
-    are starts, the rest goals. The draw stream depends on all of
-    (seed, n, n_agents, k), so families never share cells across k.
+    are starts, the rest goals. Each (seed, n, n_agents, k) seeds its own
+    draw stream, so instances are independent, not disjoint: they may share cells.
     """
     grid = GridConfig(n, n_agents)
     rng = Random(mix_chain(seed, n, n_agents, k))
     cells = rng.sample(range(n * n), 2 * n_agents)
     starts = tuple(Position(*divmod(c, n)) for c in cells[:n_agents])
     goals = tuple(Position(*divmod(c, n)) for c in cells[n_agents:])
-    return Instance(instance_name(n, n_agents, k), grid, starts, goals, seed)
-
-
-def write_instance(instance: Instance, path) -> None:
-    """Save an instance in the line-oriented text format. The header
-    carries the name as one word, so an empty name or one holding
-    whitespace cannot be written."""
-    header = f"#gridmcts name={instance.name} gen_seed={instance.gen_seed}"
-    if not _META.match(header):
-        raise ValueError(f"instance name {instance.name!r} must be one non-empty word")
-    lines = [header]
-    lines.append(f"{instance.grid.n} {instance.grid.n_agents}")
-    for p in instance.starts:
-        lines.append(f"{p.row} {p.col}")
-    for p in instance.goals:
-        lines.append(f"{p.row} {p.col}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_instance(path) -> Instance:
-    """Load an instance; errors point at the offending 1-based line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as e:
-        # "x" stands in for the bad byte, so a line break just before it
-        # still opens the byte's own line
-        lineno = len((data[:e.start] + b"x").decode("ascii").splitlines())
-        raise ValueError(
-            f"line {lineno}: non-ASCII byte 0x{data[e.start]:02x}") from None
-    name = name_line = None
-    gen_seed = 0
-    rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _META.match(line)
-            if m:
-                name, name_line = m.group(1), lineno
-                gen_seed = int(m.group(2))
-            elif line.split()[0] == "#gridmcts":
-                raise ValueError(
-                    f"line {lineno}: malformed header {raw!r}, "
-                    f"expected '#gridmcts name=NAME gen_seed=INT'")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        rows.append((lineno, a, b))
-
-    if not rows:
-        raise ValueError("line 1: missing size header")
-    head_line, n, n_agents = rows[0]
-    try:
-        grid = GridConfig(n, n_agents)
-    except ValueError as e:
-        raise ValueError(f"line {head_line}: {e}") from None
-    body = rows[1:]
-    if len(body) != 2 * n_agents:
-        raise ValueError(
-            f"line {head_line}: header wants {2 * n_agents} cell rows, file has {len(body)}"
-        )
-    seen_starts: dict = {}
-    seen_goals: dict = {}
-    for idx, (lineno, r, c) in enumerate(body):
-        if not (0 <= r < n and 0 <= c < n):
-            raise ValueError(f"line {lineno}: cell ({r}, {c}) outside {n}x{n} grid")
-        seen = seen_starts if idx < n_agents else seen_goals
-        if (r, c) in seen:
-            raise ValueError(
-                f"line {lineno}: cell ({r}, {c}) duplicates line {seen[(r, c)]}"
-            )
-        seen[(r, c)] = lineno
-    cells = [Position(r, c) for _, r, c in body]
-    if name is None:
-        name, name_line = instance_name(n, n_agents, 0), head_line
-    try:
-        return Instance(name, grid, tuple(cells[:n_agents]), tuple(cells[n_agents:]), gen_seed)
-    except ValueError as e:
-        # every other field was checked above, so the name is what failed
-        raise ValueError(f"line {name_line}: {e}") from None
+    return Instance(instance_name(n, n_agents, k), grid, starts, goals)

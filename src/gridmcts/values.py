@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .grid import _require_int
+
 
 class UpdateRule(Enum):
     """How a backpropagated sample folds into a node's running value."""
@@ -19,13 +21,6 @@ class UpdateRule(Enum):
 
 
 _ALPHAS = (0, 0.5, 1)
-
-
-def _require_int(name: str, value) -> None:
-    """Raise TypeError naming `name` unless `value` is an int and not a
-    bool: a float count fails deep inside a search, and True counts as 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,9 @@ class ValueParams:
     def __post_init__(self) -> None:
         _require_int("n_agents", self.n_agents)
         _require_int("t_final", self.t_final)
+        # False == 0 and True == 1, so a bool would pass the whitelist
+        if isinstance(self.alpha, bool):
+            raise TypeError(f"alpha must be a number, got {self.alpha!r}")
         if self.alpha not in _ALPHAS:
             raise ValueError(f"alpha must be one of {_ALPHAS}, got {self.alpha}")
         if not isinstance(self.update_rule, UpdateRule):

@@ -186,6 +186,13 @@ def test_a_non_integer_horizon_fails_before_any_episode(play, horizon, monkeypat
         play(horizon)
 
 
+@pytest.mark.parametrize("knob", ["alpha", "exploration_c"])
+def test_a_bool_knob_fails_before_its_row_is_written(knob):
+    # a bool passes both range checks, and unchecked would reach the CSV as True
+    with pytest.raises(TypeError, match=f"^{knob} must be a number, got True$"):
+        run_full_accuracy([(3, 1)], instances=1, iterations=5, **{knob: True})
+
+
 def test_sweep_worker_count_does_not_change_points():
     kw = dict(instances=2, repeats=2, iterations=60, master_seed=6)
     assert run_time_accuracy_sweep(4, 2, [8, 3, 5], **kw, workers=1) == (

@@ -85,6 +85,19 @@ def test_grid_config_rejects_bad_shapes(kwargs):
         GridConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, args, bad", [
+    # unchecked, a float size would fail only inside the seed mixer, and
+    # a bool count in the instance name's int() parse
+    ("n", (5.0, 2), 5.0),
+    ("n", (True, 1), True),
+    ("n_agents", (5, 2.0), 2.0),
+    ("n_agents", (3, True), True),
+], ids=["n-float", "n-bool", "n_agents-float", "n_agents-bool"])
+def test_grid_config_rejects_a_size_that_is_not_an_int(field, args, bad):
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {bad!r}$"):
+        GridConfig(*args)
+
+
 # ------------------------------------------------------------- WorldState
 
 

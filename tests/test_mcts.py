@@ -140,6 +140,13 @@ def test_budget_rejects_a_count_that_is_not_an_int(field, args, bad):
         SearchBudget(*args)
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_budget_rejects_a_bool_exploration_c(bad):
+    # math.isfinite(True) holds, so the range check alone let both through
+    with pytest.raises(TypeError, match=f"^exploration_c must be a number, got {bad!r}$"):
+        SearchBudget(5, 10, bad)
+
+
 # --------------------------------------------------------------- make_root
 
 

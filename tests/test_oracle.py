@@ -1,4 +1,5 @@
 """Ground-truth solvers: exact values, cross-checks, witness replay."""
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -19,6 +20,7 @@ from gridmcts.grid import (
 from gridmcts.oracle import (
     OracleResult,
     _joint_successors,
+    _unmatched,
     assignment_lower_bound,
     certify_unsolvable,
     exact_joint_search,
@@ -288,6 +290,43 @@ def test_bound_scales_past_the_permutation_limit():
         bound = assignment_lower_bound(i)
         assert bound >= max(min(manhattan(s, g) for g in i.goals) for s in i.starts)
         assert bound >= max(min(manhattan(s, g) for s in i.starts) for g in i.goals)
+
+
+# ------------------------------------------------------------- _unmatched
+
+
+def _max_matching(reach, goals) -> int:
+    """Size of a maximum matching of `goals` (indices into reach), by
+    trying every way to give each goal an unused agent or none."""
+    @lru_cache(maxsize=None)
+    def best(j, used):
+        if j == len(goals):
+            return 0
+        skip = best(j + 1, used)
+        return max([skip] + [1 + best(j + 1, used | 1 << i)
+                             for i in reach[goals[j]] if not used >> i & 1])
+    return best(0, 0)
+
+
+@st.composite
+def _reach_lists(draw):
+    agents = draw(st.integers(1, 6))
+    goal = st.lists(st.integers(0, agents - 1), unique=True)
+    return draw(st.lists(goal, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reach_lists(), st.data())
+def test_unmatched_leaves_exactly_what_a_maximum_matching_must(reach, data):
+    # criterion 1's exemption and assignment_lower_bound both rely on
+    # the matcher being maximum, whatever order the goals come in
+    everyone = list(range(len(reach)))
+    left = _unmatched(reach)
+    assert len(left) == len(reach) - _max_matching(reach, tuple(everyone))
+    order = data.draw(st.permutations(everyone))
+    assert len(_unmatched([reach[j] for j in order])) == len(left)
+    kept = tuple(j for j in everyone if j not in left)
+    assert _max_matching(reach, kept) == len(kept)
 
 
 # ------------------------------------------------------ certify_unsolvable

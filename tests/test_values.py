@@ -51,6 +51,13 @@ def test_params_reject_a_count_that_is_not_an_int(field, bad):
         params(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_params_reject_a_bool_alpha(bad):
+    # True == 1 and False == 0, so the whitelist alone let both through
+    with pytest.raises(TypeError, match=f"^alpha must be a number, got {bad!r}$"):
+        params(alpha=bad)
+
+
 # ------------------------------------------------------------ value_naive
 
 
