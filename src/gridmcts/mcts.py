@@ -34,6 +34,14 @@ all. plan_move and the public expand and rollout all run on that board. Its
 one check is the full-copy twin in tests/reference.py, which builds the
 same trees from whole WorldStates and must match them bit for bit.
 
+A playout plays its whole turns in a kernel generated for its number of
+live movers, once per mover count and on first use (_turns): the
+movers' agents and cells are the kernel's locals and their steps are
+unrolled in turn order, so no step reads or writes an agent cell on the
+board until the kernel returns; a mover captured on the way keeps its
+cell coded as ~cell, whose sign skips it. Only a first turn that starts
+mid-turn is played before it, by a plain loop.
+
 A node knows only its children, never its parent, so the tree is a
 downward-only structure owned by its root: it holds no reference cycle
 and reference counting frees all of it the moment the root is dropped,
@@ -65,13 +73,14 @@ accepted unless that cell is a locked goal, in which case the draw
 repeats too. m + 1 is 3, 4 or 5, a divisor of 60, so every accepted
 draw is exactly uniform over legal moves. Captured agents act
 deterministically and consume no randomness. The engine reads the
-destination straight from grid.cell_tables' 64-entry draw table, whose
-entries 60-63 are a sentinel cell the board flags as a goal and keeps
-locked, so one test rejects both a locked goal and ``r >= 60``. Only
-goal cells and the sentinel are ever locked, so a step that lands on a
-plain cell, the common case, is screened by its one goal test and never
-reads the locks. A live agent never stands on a goal, so its Stay cell
-is never locked.
+destination from its step table: grid.cell_tables' 64-entry draw table,
+whose entries 60-63 are a sentinel cell the board keeps locked, with
+every goal cell and the sentinel stored as ~cell, so one test rejects
+both a locked goal and ``r >= 60``. Only goal cells and the sentinel
+are ever locked, so a step that lands on a plain cell, the common case,
+is screened by the sign of its entry and reads neither the locks nor a
+goal flag. A live agent never stands on a goal, so its Stay cell is
+never locked.
 
 The board is lists of ints, not bytearrays: CPython specializes list
 subscripts, not bytearray ones. plan_move pauses the cyclic collector
@@ -115,7 +124,10 @@ def _goal_tables(n: int, goals: frozenset):
 
     Captured goals are listed too and skipped at lookup time, so one
     table serves every node of every tree over this goal set. One entry
-    is kept: the goal set changes only between episodes.
+    is kept: the goal set changes only between episodes. Only the
+    distance term reads these tables, so a plan with distance_weight 0
+    never builds them and runs none of their sweeps; the playout's own
+    per-goal-set tables come from _step_tables.
     """
     cap = distance_cap(n)
     near = [[] for _ in range(n * n)]
@@ -127,6 +139,72 @@ def _goal_tables(n: int, goals: frozenset):
     first_d = [lst[0][0] if lst else cap for lst in near]
     first_g = [lst[0][1] if lst else n * n for lst in near]
     return near, first_d, first_g
+
+
+@lru_cache(maxsize=1)
+def _step_tables(n: int, goals: frozenset):
+    """The playout's step tables over this goal set: steps[cell] is
+    grid.cell_tables' 64-entry draw table of `cell` with every goal cell,
+    and the sentinel n * n, stored as ~cell. So a drawn entry q is a
+    plain cell exactly when q >= 0, and a step tests its sign where it
+    would otherwise read a goal flag. One entry is kept, as for
+    _goal_tables, and no goal is swept.
+    """
+    code = list(range(n * n + 1))
+    for g in goals:
+        cell = g.row * n + g.col
+        code[cell] = ~cell
+    code[n * n] = ~(n * n)
+    return tuple(tuple(map(code.__getitem__, table)) for table in cell_tables(n)[2])
+
+
+def _turns_source(m: int) -> str:
+    """Source of the kernel that plays whole turns for m movers: see
+    _turns. Mover i's agent is the argument a{i} and its cell the local
+    p{i}, which holds ~cell from the draw that captures it on."""
+    head = ", ".join(f"a{i}" for i in range(m))
+    lines = [f"def turns(pos, steps, cap_at, rand, n_turns, {head}):"]
+    lines += [f"    p{i} = pos[a{i}]" for i in range(m)]
+    lines += ["    c = 0", "    for _ in range(n_turns):"]
+    for i in range(m):
+        lines += [
+            f"        if p{i} >= 0:",
+            f"            s = steps[p{i}]",
+            f"            p{i} = s[rand(6)]",
+            f"            if p{i} < 0:",
+            f"                while cap_at[~p{i}]:",
+            f"                    p{i} = s[rand(6)]",
+            f"                    if p{i} >= 0:",
+            "                        break",
+            "                else:",
+            f"                    cap_at[~p{i}] = 1",
+            "                    c += 1",
+        ]
+    lines += [f"        if c == {m}:", "            break"]
+    lines += [f"    pos[a{i}] = p{i} if p{i} >= 0 else ~p{i}" for i in range(m)]
+    lines += ["    return c", ""]
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=None)
+def _turns(m: int):
+    """Kernel playing whole playout turns for m >= 1 live movers, built
+    from _turns_source(m) on first use and kept; importing builds none.
+
+    turns(pos, steps, cap_at, rand, n_turns, a0, ..., a{m-1}) plays up
+    to n_turns turns, the movers a0.. stepping in that order, and
+    returns the number of them it captured. Each mover's cell is a
+    local: a captured one holds its cell coded as ~cell, so the sign of
+    the local skips it and it draws nothing. A step is the playout's:
+    six bits read through the mover's step table (see _step_tables), a
+    goal or the sentinel redrawn while it is locked in cap_at, a free
+    goal locked and captured on. The kernel stops after a turn that
+    captures the last mover, then writes every mover's cell back to pos,
+    decoded.
+    """
+    namespace = {}
+    exec(_turns_source(m), namespace)
+    return namespace["turns"]
 
 
 @dataclass(frozen=True)
@@ -203,13 +281,14 @@ class SearchRoot(SearchNode):
     Holds the context of the whole tree (planning agent, value
     parameters, turn order, the root state's clock t0 and the horizon
     t_final), the leaf distance term's lookup data (_goal_tables' three
-    tables) and the flat-indexed scratch board every search step runs on:
+    tables), the playout's step tables (_step_tables, shared by every
+    root over the goal set) and the flat-indexed scratch board every
+    search step runs on:
     pos, the agent cells; goal_at and cap_at, a 0/1 flag per goal cell
     and per locked goal cell; and the captured count. All three are
-    lists of ints. goal_at and cap_at have one entry past the last cell,
-    always 1 in both: the sentinel that the playout's draw table maps
-    r >= 60 to, flagged as a goal so that the playout's one goal test
-    sends it to the redraw loop, and locked so that the loop rejects it.
+    lists of ints. cap_at has one entry past the last cell, always 1:
+    the sentinel, which the playout's step tables map r >= 60 to and
+    code as a goal, locked so that the redraw loop rejects it.
     As in grid.WorldState, an agent is captured exactly when its cell is
     a goal, so the board keeps no per-agent flag.
     Between steps the board equals its state built here. The snapshot
@@ -221,7 +300,7 @@ class SearchRoot(SearchNode):
 
     __slots__ = ("planning_agent", "params", "order", "shaping",
                  "t0", "t_final", "pos", "goal_at", "cap_at", "n_captured",
-                 "moves", "dests", "draws", "snapshot")
+                 "moves", "dests", "steps", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
         super().__init__(None, None, None)
@@ -238,16 +317,16 @@ class SearchRoot(SearchNode):
         w = params.distance_weight
         self.shaping = (w, *_goal_tables(n, state.goals), distance_cap(n)) if w else None
         self.pos = [p.row * n + p.col for p in state.agent_pos]
-        self.goal_at = [0] * (n * n + 1)
+        self.goal_at = [0] * (n * n)
         for g in state.goals:
             self.goal_at[g.row * n + g.col] = 1
-        self.goal_at[n * n] = 1
         self.cap_at = [0] * (n * n + 1)
         self.cap_at[n * n] = 1
         for cell in self.pos:
             self.cap_at[cell] = self.goal_at[cell]
         self.n_captured = sum(state.captured)
-        self.moves, self.dests, self.draws = cell_tables(n)
+        self.moves, self.dests = cell_tables(n)[:2]
+        self.steps = _step_tables(n, state.goals)
         free = [c for c in range(n * n) if self.goal_at[c] and not self.cap_at[c]]
         self.snapshot = (self.pos[:], free, self.n_captured)
 
@@ -336,15 +415,18 @@ class SearchRoot(SearchNode):
         bonus. The distance term, when shaping is on, is read from the
         evaluated node too, before the playout moves anyone.
 
-        Only live agents draw, so the loop walks a list of them, in turn
-        order. It is rebuilt from the full order after every turn that
-        changed the captured count, and after a partial first turn.
-        `rand` is the rng's getrandbits: each step draws six bits and
-        reads its destination from the mover's cell's draw table. Only a
-        goal cell or the sentinel can be locked, so only a destination
-        flagged in goal_at enters the redraw loop, which redraws while
-        the destination is locked, a locked goal or the sentinel (see
-        the module docstring), and captures if it ends on a goal.
+        Only live agents draw. `rand` is the rng's getrandbits: each step
+        draws six bits and reads its destination from the mover's cell's
+        step table (see _step_tables), where a goal or the sentinel is
+        stored as ~cell. Only those can be locked, so only a negative
+        entry enters the redraw loop, which redraws while the destination
+        is locked (see the module docstring) and captures if it ends on a
+        goal. A first turn that starts mid-turn, at the node's turn
+        position, is played by a plain loop over the rest of the order;
+        every whole turn after it is played by one call of the kernel
+        _turns(m) for the m agents live by then, in turn order, which
+        returns its capture count and stops after the turn that captures
+        the last of them.
         """
         params = self.params
         t_final = self.t_final
@@ -353,7 +435,7 @@ class SearchRoot(SearchNode):
         pos = self.pos
         goal_at = self.goal_at
         cap_at = self.cap_at
-        draws = self.draws
+        steps = self.steps
         shaping = self.shaping
         n_cap = self.n_captured
 
@@ -379,42 +461,35 @@ class SearchRoot(SearchNode):
                         break
                 dist_sum += d
 
-        # plain loops, not comprehensions: before CPython 3.12 a
-        # comprehension reading pos or goal_at would make both closure
-        # cells, and every read of them in the playout loop slower
-        movers = []
-        for a in order[tp:]:
-            if not goal_at[pos[a]]:
-                movers.append(a)
-        # n_cap when movers was last built; -1 rebuilds it after a
-        # partial first turn
-        built = n_cap if tp == 0 else -1
-        # with no live agent there is no turn to play, not even an empty one
-        for _ in range(t_final - t if live else 0):
-            for a in movers:
-                # a mover stands on no goal, so only a locked neighbour
-                # or the sentinel, never Stay, is redrawn
-                table = draws[pos[a]]
+        if live and t < t_final and tp:
+            # the partial first turn: the kernel's step, one agent at a
+            # time, in a loop that runs at most once per playout
+            for a in order[tp:]:
+                p = pos[a]
+                if goal_at[p]:
+                    continue
+                table = steps[p]
                 q = table[rand(6)]
-                if goal_at[q]:
-                    while cap_at[q]:
+                if q < 0:
+                    while cap_at[~q]:
                         q = table[rand(6)]
-                    # q is legal here, so any goal it lands on is free
-                    if goal_at[q]:
+                        if q >= 0:
+                            break
+                    else:
+                        q = ~q
                         cap_at[q] = 1
                         n_cap += 1
                 pos[a] = q
-            if n_cap != built:
-                # an agent is captured only by its own draw, so the last
-                # live agent is the last mover of the turn that captures
-                # everyone
-                if n_cap == n_agents:
-                    break
-                built = n_cap
-                movers = []
-                for a in order:
-                    if not goal_at[pos[a]]:
-                        movers.append(a)
+            t += 1
+        if n_cap < n_agents and t < t_final:
+            # a plain loop, not a comprehension: before CPython 3.12 a
+            # comprehension reading pos or goal_at would make both closure
+            # cells, and every read of them slower
+            movers = []
+            for a in order:
+                if not goal_at[pos[a]]:
+                    movers.append(a)
+            n_cap += _turns(len(movers))(pos, steps, cap_at, rand, t_final - t, *movers)
 
         # same operation order as value_mod + depth_adjusted, so results are
         # bit-identical to the public value pipeline

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from random import Random
 
-from .grid import GridConfig, Position
+from .grid import GridConfig, Position, _require_int
 from .seeds import mix_chain
 
 _NAME_X = re.compile(r"^MP(\d+)x(\d+)-(\d+)$")
@@ -66,6 +66,7 @@ def parse_instance_name(name: str) -> tuple[int, int, int]:
 
 def instance_name(n: int, n_agents: int, k: int) -> str:
     """Canonical name for the k-th instance of a size."""
+    _require_int("k", k)
     if k < 0:
         raise ValueError(f"instance index must be non-negative, got {k}")
     GridConfig(n, n_agents)  # validate the size pair itself
@@ -121,6 +122,10 @@ def generate_instance(n: int, n_agents: int, k: int, seed: int) -> Instance:
     draw stream, so instances are independent, not disjoint: they may share cells.
     """
     grid = GridConfig(n, n_agents)
+    # checked before the draw: mix_chain would fail on a float with an
+    # error naming no field, and take True as 1
+    _require_int("k", k)
+    _require_int("seed", seed)
     rng = Random(mix_chain(seed, n, n_agents, k))
     cells = rng.sample(range(n * n), 2 * n_agents)
     starts = tuple(Position(*divmod(c, n)) for c in cells[:n_agents])

@@ -1,5 +1,6 @@
 """Tree search engine: structure, selection, rollouts, equivalence."""
 import dataclasses
+import functools
 import gc
 import math
 import os
@@ -17,6 +18,7 @@ from gridmcts.grid import (
     Move,
     Position,
     WorldState,
+    cell_tables,
     initial_state,
     legal_moves,
     move_dest,
@@ -27,6 +29,8 @@ from gridmcts.mcts import (
     SearchNode,
     SearchRoot,
     _goal_tables,
+    _turns,
+    _turns_source,
     backpropagate,
     best_action,
     expand,
@@ -48,6 +52,7 @@ from gridmcts.values import (
 
 from gridmcts.scenarios import generate_instance
 
+import reference
 from reference import (
     compare_trees,
     ref_goal_distances,
@@ -566,6 +571,19 @@ def test_log_table_holds_exact_logs_up_to_the_largest_count_read(monkeypatch):
     assert all(M._LOGS[i].hex() == math.log(i).hex() for i in range(1, 5004))
 
 
+def test_importing_the_engine_generates_no_kernel():
+    # a turn kernel is generated on first use, one per mover count, and
+    # kept: importing compiles none, and a second call builds nothing
+    import gridmcts.mcts as M
+
+    probe = "import gridmcts.mcts as M; print(M._turns.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+    assert _turns(3) is _turns(3)
+
+
 # ----------------------------------------------------------------- rollout
 
 
@@ -627,7 +645,8 @@ def test_a_redraw_from_a_lock_onto_a_free_goal_captures_as_the_reference_does():
     s = mk(3, [(1, 1), (0, 1)], [(0, 1), (1, 0)])
     p = params_for(s, 9)
     root = make_root(s, 0, p)
-    draws = root.draws[root.pos[0]]
+    # the cell's draw table, which the playout's step table codes
+    draws = cell_tables(3)[2][root.pos[0]]
     sentinel = len(root.cap_at) - 1
     free_goal = 1 * 3 + 0
     found = {}
@@ -673,7 +692,11 @@ def test_accepted_draws_are_uniform_over_the_unlocked_legal_moves():
                 continue
             here = s.agent_pos[a]
             legal = [move_dest(here, mv) for mv in legal_moves(s, a)]
-            draws = root.draws[root.pos[a]]
+            # the step table stores goals and the sentinel as ~cell
+            steps = root.steps[root.pos[a]]
+            draws = [~q if q < 0 else q for q in steps]
+            coded = {g.row * n + g.col for g in s.goals} | {n * n}
+            assert [q < 0 for q in steps] == [q in coded for q in draws]
             accepted = [draws[r] for r in range(64) if not root.cap_at[draws[r]]]
             counts = {q: accepted.count(q) for q in set(accepted)}
             assert set(counts) == {q.row * n + q.col for q in legal}
@@ -694,6 +717,11 @@ def test_playout_keeps_its_board_out_of_closure_cells():
     # children with a plain loop for this reason
     for step in (SearchRoot._grow, SearchRoot._realize, SearchRoot._reset, SearchRoot.run):
         assert step.__code__.co_cellvars == (), step.__name__
+    # the generated turn kernels keep their movers' cells in plain locals
+    # and close over nothing
+    for m in (1, 2, 7):
+        code = _turns(m).__code__
+        assert code.co_cellvars == code.co_freevars == (), m
 
 
 def test_root_board_is_plain_lists_of_ints():
@@ -703,10 +731,10 @@ def test_root_board_is_plain_lists_of_ints():
     s = mk(5, [(0, 0), (2, 2), (4, 1)], [(4, 4), (2, 2), (0, 3)])
     root = make_root(s, 0, params_for(s, 15))
     boards = (root.pos, root.goal_at, root.cap_at)
-    # goal_at flags the sentinel past the last cell as a goal too, so
-    # the playout's one goal test sends it to the redraw loop
+    # goal_at flags the goal cells and no more: the sentinel past the
+    # last cell is locked in cap_at and coded in the step tables
     built = root.goal_at[:]
-    assert len(built) == 5 * 5 + 1 and built[-1] == 1
+    assert len(built) == 5 * 5 and sum(built) == 3
     # the snapshot keeps the agent cells and the goals free at the root,
     # the only cells a step can lock; goal (2, 2), held by agent 1, and
     # the sentinel are locked here and must stay locked
@@ -1393,6 +1421,85 @@ def test_rollout_leaves_the_rng_where_the_reference_does():
     assert mid_turn > 20 and captured_in_tree > 5
 
 
+@st.composite
+def _rollout_cases(draw):
+    """A 2x2-5x5 board with 1-5 agents, any number of them but one on
+    goals at the root, so whole turns are played by every mover count
+    from 1 to the agent count; a walk down the tree to any turn
+    position, so first turns are partial; often only 1-3 turns left,
+    so the horizon can end the turn a capture happens."""
+    n = draw(st.integers(2, 5))
+    na = draw(st.integers(1, min(5, n * n // 2)))
+    cells = draw(st.permutations([Position(r, c) for r in range(n) for c in range(n)]))
+    goals = cells[:na]
+    held = draw(st.integers(0, na - 1))
+    starts = draw(st.permutations(goals[:held] + cells[na:2 * na - held]))
+    t = draw(st.integers(0, 2))
+    t_final = t + draw(st.one_of(st.integers(1, 3), st.integers(4, 3 * n)))
+    s = WorldState(n, t, tuple(starts), frozenset(goals))
+    p = ValueParams(draw(st.sampled_from([0.0, 0.5])), UpdateRule.MEAN, na, t_final,
+                    distance_weight=draw(st.sampled_from([0.0, 0.5])))
+    walk = draw(st.lists(st.integers(0, 4), max_size=3 * na + 3))
+    return s, p, draw(st.integers(0, na - 1)), walk, draw(st.integers(0, 2**64 - 1))
+
+
+def _twin_rollout_and_end(tree, node, rng):
+    """ref_rollout's sample and the state its playout ends in, the one
+    its last apply_move returns; the distance term's own searches, which
+    run before the playout, apply moves too and are not counted."""
+    made = []
+    real_move, real_distances = reference.apply_move, reference.ref_goal_distances
+
+    def move(*args):
+        made.append(real_move(*args))
+        return made[-1]
+
+    def distances(state):
+        dists = real_distances(state)
+        made.clear()
+        return dists
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "apply_move", move)
+        mp.setattr(reference, "ref_goal_distances", distances)
+        sample = ref_rollout(tree, node, rng)
+    return sample, made[-1] if made else node.state
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rollout_cases())
+def test_rollout_through_the_turn_kernel_matches_the_twin(case):
+    # the sample, the board the playout leaves before its reset and the
+    # RNG's end state, from the node at the end of a random walk
+    s, p, planner, walk, seed = case
+    n = s.n
+    root = make_root(s, planner, p)
+    path = [root]
+    for pick in walk:
+        if path[-1].children is None:
+            try:
+                if expand(path) is path[-1]:
+                    continue
+            except ValueError:
+                break
+        kids = path[-1].children
+        path.append(kids[pick % len(kids)])
+    tree = RefTree(s, planner, p)
+    ref_node = ref_node_at(tree, path)
+    got_rng, want_rng = Random(seed), Random(seed)
+    got = root._playout(root._realize(path[1:]), got_rng.getrandbits)
+    pos, cap_at = root.pos[:], root.cap_at[:]
+    root._reset()
+    want, end = _twin_rollout_and_end(tree, ref_node, want_rng)
+    assert got == want
+    assert got_rng.getstate() == want_rng.getstate()
+    assert pos == [q.row * n + q.col for q in end.agent_pos]
+    locked = {q.row * n + q.col for q in end.captured_cells()} | {n * n}
+    assert {c for c, flag in enumerate(cap_at) if flag} == locked
+    # the public rollout takes the same route from a clean board
+    assert rollout(path, Random(seed)) == got
+
+
 def test_plan_move_leaves_the_rng_where_the_reference_does():
     meta = Random(9007)
     for _ in range(20):
@@ -1581,6 +1688,32 @@ def _grow_counting_past_the_end(self, leaf, depth):
     return first
 
 
+def _kernel_with(old, new):
+    """_turns generating kernels whose source reads `new` where it read
+    `old`, once per mover; {i} stands for the mover's index."""
+    @functools.lru_cache(maxsize=None)
+    def build(m):
+        src = _turns_source(m)
+        for i in range(m):
+            was = old.format(i=i)
+            assert was in src
+            src = src.replace(was, new.format(i=i))
+        namespace = {}
+        exec(src, namespace)
+        return namespace["turns"]
+    return build
+
+
+# a captured mover is not skipped: it keeps drawing, from its goal's cell
+_kernel_drawing_when_captured = _kernel_with(
+    "        if p{i} >= 0:\n            s = steps[p{i}]",
+    "        if True:\n            s = steps[p{i} if p{i} >= 0 else ~p{i}]",
+)
+# a captured mover's cell is written back still coded, as ~cell
+_kernel_writing_coded_cells = _kernel_with(
+    "pos[a{i}] = p{i} if p{i} >= 0 else ~p{i}", "pos[a{i}] = p{i}",
+)
+
 # entry i holds the log of i + 1, not of i
 _LOGS_SHIFTED = [math.log(i + 1) for i in range(4096)]
 
@@ -1591,7 +1724,10 @@ _ALL = ("captured", "shaped", "crowded")
 # both scored nodes below counted Stay-only levels and terminal leaves,
 # which select-raw-visits and stay-on-terminal need; reuse-every-leaf
 # needs a leaf selected again after a Stay-only level was counted on it,
-# which the shaped tree, with no agent on a goal at its root, never has
+# which the shaped tree, with no agent on a goal at its root, never has.
+# A cell written back coded shows only in the planner's own-capture
+# mark, read at goal_at[~cell], that is at cell n * n - 1 - cell: on the
+# crowded board that cell is a goal for both goals the planner can take
 _BOARD_FAULTS = {
     "realize-no-lock": (SearchRoot, "_realize", _realize_without_lock, _ALL),
     "realize-no-count": (SearchRoot, "_realize", _realize_without_count, _ALL),
@@ -1602,6 +1738,9 @@ _BOARD_FAULTS = {
     "select-raw-visits": (None, "select", _select_with_raw_visits, ("crowded",)),
     "stay-on-terminal": (SearchRoot, "_grow", _grow_counting_past_the_end, ("crowded",)),
     "log-table-shifted": (None, "_LOGS", _LOGS_SHIFTED, _ALL),
+    "kernel-captured-draws": (None, "_turns", _kernel_drawing_when_captured, _ALL),
+    "kernel-coded-cells": (None, "_turns", _kernel_writing_coded_cells,
+                           ("captured", "shaped")),
 }
 
 
@@ -1709,6 +1848,33 @@ def test_episode_sweeps_each_goal_once(monkeypatch):
     # several plan calls, each of which would sweep again without the memo
     assert trace.states[0].captured.count(False) >= 2
     assert sorted(targets) == sorted(a.goals)
+
+
+def test_only_a_shaped_plan_sweeps_the_goals(monkeypatch):
+    # the playout's step tables are built without a sweep, so a plan
+    # with distance_weight 0 runs none; a shaped one sweeps each goal
+    # once per goal set
+    import gridmcts.mcts as M
+
+    s = mk(5, [(0, 0), (3, 1), (2, 4)], [(4, 4), (1, 3), (0, 2)])
+    targets = []
+    real_sweep = M.goal_walled_distances
+
+    def counted(n, goals, target):
+        targets.append(target)
+        return real_sweep(n, goals, target)
+
+    monkeypatch.setattr(M, "goal_walled_distances", counted)
+    M._goal_tables.cache_clear()
+    M._step_tables.cache_clear()
+    plain = params_for(s, 15)
+    assert plain.distance_weight == 0
+    plan_move(s, 0, SearchBudget(137, 15), plain, Random(11))
+    assert targets == []
+    shaped = dataclasses.replace(plain, distance_weight=0.5)
+    for seed in (11, 12):
+        plan_move(s, 0, SearchBudget(137, 15), shaped, Random(seed))
+    assert sorted(targets) == sorted(s.goals)
 
 
 def test_goal_tables_are_never_served_stale():

@@ -108,6 +108,22 @@ def test_generation_rejects_crowded_board():
         generate_instance(2, 3, 0, 1)
 
 
+@pytest.mark.parametrize("k, seed, field", [
+    (True, 0, "k"),
+    (1.0, 0, "k"),
+    (1, 1.5, "seed"),
+    (1, True, "seed"),
+])
+def test_generation_rejects_a_non_int_index_or_seed_by_name(k, seed, field):
+    # True would name an instance "MP52-True" or seed it as 1, and a
+    # float would fail inside the seed mixer with no field named
+    with pytest.raises(TypeError, match=f"^{field} must be an int"):
+        generate_instance(5, 2, k, seed)
+    if field == "k":
+        with pytest.raises(TypeError, match="^k must be an int"):
+            instance_name(5, 2, k)
+
+
 def test_generated_cells_are_uniform():
     """Chi-square uniformity over all start/goal cells, pinned seed.
 
