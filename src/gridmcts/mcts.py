@@ -34,13 +34,14 @@ all. plan_move and the public expand and rollout all run on that board. Its
 one check is the full-copy twin in tests/reference.py, which builds the
 same trees from whole WorldStates and must match them bit for bit.
 
-A playout plays its whole turns in a kernel generated for its number of
-live movers, once per mover count and on first use (_turns): the
-movers' agents and cells are the kernel's locals and their steps are
-unrolled in turn order, so no step reads or writes an agent cell on the
-board until the kernel returns; a mover captured on the way keeps its
-cell coded as ~cell, whose sign skips it. Only a first turn that starts
-mid-turn is played before it, by a plain loop.
+A playout plays its turns in one call of a kernel generated for its
+number of live movers, once per mover count and on first use (_turns):
+the movers' agents and cells are the kernel's locals and their steps
+are unrolled in turn order, so no step reads or writes an agent cell on
+the board until the kernel returns; a mover captured on the way keeps
+its cell coded as ~cell, whose sign skips it. A first turn that starts
+mid-turn is the kernel's too: it steps only the movers from the node's
+turn position on.
 
 A node knows only its children, never its parent, so the tree is a
 downward-only structure owned by its root: it holds no reference cycle
@@ -158,29 +159,41 @@ def _step_tables(n: int, goals: frozenset):
     return tuple(tuple(map(code.__getitem__, table)) for table in cell_tables(n)[2])
 
 
+def _step_source(i: int, guard: str, indent: str) -> list:
+    """Source lines of mover i's step, taken when `guard` holds: six bits
+    read through its step table, a goal or the sentinel redrawn while it
+    is locked, a free goal locked and captured on, its cell then kept as
+    ~cell."""
+    lines = [
+        guard,
+        f"    s = steps[p{i}]",
+        f"    p{i} = s[rand(6)]",
+        f"    if p{i} < 0:",
+        f"        while cap_at[~p{i}]:",
+        f"            p{i} = s[rand(6)]",
+        f"            if p{i} >= 0:",
+        "                break",
+        "        else:",
+        f"            cap_at[~p{i}] = 1",
+        "            c += 1",
+    ]
+    return [indent + line for line in lines]
+
+
 def _turns_source(m: int) -> str:
-    """Source of the kernel that plays whole turns for m movers: see
-    _turns. Mover i's agent is the argument a{i} and its cell the local
-    p{i}, which holds ~cell from the draw that captures it on."""
+    """Source of the kernel that plays a playout's turns for m movers:
+    see _turns. Mover i's agent is the argument a{i} and its cell the
+    local p{i}, which holds ~cell from the draw that captures it on."""
     head = ", ".join(f"a{i}" for i in range(m))
-    lines = [f"def turns(pos, steps, cap_at, rand, n_turns, {head}):"]
+    lines = [f"def turns(pos, steps, cap_at, rand, n_turns, first, {head}):"]
     lines += [f"    p{i} = pos[a{i}]" for i in range(m)]
-    lines += ["    c = 0", "    for _ in range(n_turns):"]
+    lines += ["    c = 0"]
+    # every mover is live until its own step in the first turn
     for i in range(m):
-        lines += [
-            f"        if p{i} >= 0:",
-            f"            s = steps[p{i}]",
-            f"            p{i} = s[rand(6)]",
-            f"            if p{i} < 0:",
-            f"                while cap_at[~p{i}]:",
-            f"                    p{i} = s[rand(6)]",
-            f"                    if p{i} >= 0:",
-            "                        break",
-            "                else:",
-            f"                    cap_at[~p{i}] = 1",
-            "                    c += 1",
-        ]
-    lines += [f"        if c == {m}:", "            break"]
+        lines += _step_source(i, f"if first <= {i}:", "    ")
+    lines += ["    for _ in range(n_turns - 1):", f"        if c == {m}:", "            break"]
+    for i in range(m):
+        lines += _step_source(i, f"if p{i} >= 0:", "        ")
     lines += [f"    pos[a{i}] = p{i} if p{i} >= 0 else ~p{i}" for i in range(m)]
     lines += ["    return c", ""]
     return "\n".join(lines)
@@ -188,19 +201,18 @@ def _turns_source(m: int) -> str:
 
 @lru_cache(maxsize=None)
 def _turns(m: int):
-    """Kernel playing whole playout turns for m >= 1 live movers, built
+    """Kernel playing a playout's turns for m >= 1 live movers, built
     from _turns_source(m) on first use and kept; importing builds none.
 
-    turns(pos, steps, cap_at, rand, n_turns, a0, ..., a{m-1}) plays up
-    to n_turns turns, the movers a0.. stepping in that order, and
-    returns the number of them it captured. Each mover's cell is a
-    local: a captured one holds its cell coded as ~cell, so the sign of
-    the local skips it and it draws nothing. A step is the playout's:
-    six bits read through the mover's step table (see _step_tables), a
-    goal or the sentinel redrawn while it is locked in cap_at, a free
-    goal locked and captured on. The kernel stops after a turn that
-    captures the last mover, then writes every mover's cell back to pos,
-    decoded.
+    turns(pos, steps, cap_at, rand, n_turns, first, a0, ..., a{m-1})
+    plays n_turns >= 1 turns, the movers a0.. stepping in that order,
+    and returns the number of them it captured. The first turn steps
+    only the movers from index `first` on, so a playout that starts
+    mid-turn plays the rest of that turn in the same call. Each mover's
+    cell is a local: a captured one holds its cell coded as ~cell, so
+    the sign of the local skips it and it draws nothing. The kernel
+    stops after a turn that captures the last mover, then writes every
+    mover's cell back to pos, decoded.
     """
     namespace = {}
     exec(_turns_source(m), namespace)
@@ -421,12 +433,11 @@ class SearchRoot(SearchNode):
         stored as ~cell. Only those can be locked, so only a negative
         entry enters the redraw loop, which redraws while the destination
         is locked (see the module docstring) and captures if it ends on a
-        goal. A first turn that starts mid-turn, at the node's turn
-        position, is played by a plain loop over the rest of the order;
-        every whole turn after it is played by one call of the kernel
-        _turns(m) for the m agents live by then, in turn order, which
-        returns its capture count and stops after the turn that captures
-        the last of them.
+        goal. Every step runs in one call of the kernel _turns(m), with
+        the m agents live at the node in turn order, which returns its
+        capture count: it plays the rest of the node's turn, from the
+        node's turn position, then every whole turn left, and stops after
+        the turn that captures the last of them.
         """
         params = self.params
         t_final = self.t_final
@@ -461,35 +472,21 @@ class SearchRoot(SearchNode):
                         break
                 dist_sum += d
 
-        if live and t < t_final and tp:
-            # the partial first turn: the kernel's step, one agent at a
-            # time, in a loop that runs at most once per playout
-            for a in order[tp:]:
-                p = pos[a]
-                if goal_at[p]:
-                    continue
-                table = steps[p]
-                q = table[rand(6)]
-                if q < 0:
-                    while cap_at[~q]:
-                        q = table[rand(6)]
-                        if q >= 0:
-                            break
-                    else:
-                        q = ~q
-                        cap_at[q] = 1
-                        n_cap += 1
-                pos[a] = q
-            t += 1
         if n_cap < n_agents and t < t_final:
-            # a plain loop, not a comprehension: before CPython 3.12 a
+            # plain loops, not comprehensions: before CPython 3.12 a
             # comprehension reading pos or goal_at would make both closure
-            # cells, and every read of them slower
+            # cells, and every read of them slower. The movers are listed in
+            # turn order; the first turn skips those before the node's turn
+            # position
             movers = []
-            for a in order:
+            for a in order[:tp]:
                 if not goal_at[pos[a]]:
                     movers.append(a)
-            n_cap += _turns(len(movers))(pos, steps, cap_at, rand, t_final - t, *movers)
+            first = len(movers)
+            for a in order[tp:]:
+                if not goal_at[pos[a]]:
+                    movers.append(a)
+            n_cap += _turns(len(movers))(pos, steps, cap_at, rand, t_final - t, first, *movers)
 
         # same operation order as value_mod + depth_adjusted, so results are
         # bit-identical to the public value pipeline
