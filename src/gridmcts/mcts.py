@@ -41,7 +41,12 @@ are unrolled in turn order, so no step reads or writes an agent cell on
 the board until the kernel returns; a mover captured on the way keeps
 its cell coded as ~cell, whose sign skips it. A first turn that starts
 mid-turn is the kernel's too: it steps only the movers from the node's
-turn position on.
+turn position on. The playout sets the kernel up by lookup, not by
+rebuilding it: the board carries its live set as a bit mask, which
+each root maps, on first use, to the kernel, the movers in turn order
+and how many of them come before each turn position; and each level's
+turn position, turns left and depth bonus come from a table per
+horizon (_levels).
 
 A node knows only its children, never its parent, so the tree is a
 downward-only structure owned by its root: it holds no reference cycle
@@ -182,10 +187,12 @@ def _step_source(i: int, guard: str, indent: str) -> list:
 
 def _turns_source(m: int) -> str:
     """Source of the kernel that plays a playout's turns for m movers:
-    see _turns. Mover i's agent is the argument a{i} and its cell the
-    local p{i}, which holds ~cell from the draw that captures it on."""
+    see _turns. Mover i's agent is the local a{i}, unpacked from the
+    movers argument, and its cell the local p{i}, which holds ~cell
+    from the draw that captures it on."""
     head = ", ".join(f"a{i}" for i in range(m))
-    lines = [f"def turns(pos, steps, cap_at, rand, n_turns, first, {head}):"]
+    lines = ["def turns(pos, steps, cap_at, rand, n_turns, first, movers):",
+             f"    [{head}] = movers"]
     lines += [f"    p{i} = pos[a{i}]" for i in range(m)]
     lines += ["    c = 0"]
     # every mover is live until its own step in the first turn
@@ -204,19 +211,49 @@ def _turns(m: int):
     """Kernel playing a playout's turns for m >= 1 live movers, built
     from _turns_source(m) on first use and kept; importing builds none.
 
-    turns(pos, steps, cap_at, rand, n_turns, first, a0, ..., a{m-1})
-    plays n_turns >= 1 turns, the movers a0.. stepping in that order,
-    and returns the number of them it captured. The first turn steps
-    only the movers from index `first` on, so a playout that starts
-    mid-turn plays the rest of that turn in the same call. Each mover's
-    cell is a local: a captured one holds its cell coded as ~cell, so
-    the sign of the local skips it and it draws nothing. The kernel
-    stops after a turn that captures the last mover, then writes every
-    mover's cell back to pos, decoded.
+    turns(pos, steps, cap_at, rand, n_turns, first, movers) plays
+    n_turns >= 1 turns, the m agents of the tuple movers stepping in
+    that order, and returns the number of them it captured. The first
+    turn steps only the movers from index `first` on, so a playout that
+    starts mid-turn plays the rest of that turn in the same call. Each
+    mover's agent and cell are locals: a captured one holds its cell
+    coded as ~cell, so the sign of the local skips it and it draws
+    nothing. The kernel stops after a turn that captures the last mover,
+    then writes every mover's cell back to pos, decoded.
     """
     namespace = {}
     exec(_turns_source(m), namespace)
     return namespace["turns"]
+
+
+@lru_cache(maxsize=1)
+def _levels(n_agents: int, t_final: int):
+    """Per-level constants of a tree over n_agents agents and horizon
+    t_final: entry t * n_agents + tp, for every turn t up to t_final and
+    turn position tp, is (tp, t_final - t, bonus). bonus is the depth
+    bonus of a node at that level, (1.0 - node_time / t_final) /
+    n_agents, where node_time is t on a turn boundary and t + 1, the
+    turn completing around the node, otherwise. The levels are absolute,
+    so a root whose clock is t0 reads its own from entry t0 * n_agents
+    on. One entry is kept, as for _step_tables: an episode keeps its
+    population and horizon. Built on first use; importing builds none.
+    """
+    levels = []
+    for t in range(t_final + 1):
+        for tp in range(n_agents):
+            node_time = t if tp == 0 else t + 1
+            levels.append((tp, t_final - t, (1.0 - node_time / t_final) / n_agents))
+    return tuple(levels)
+
+
+def _live_entry(order: tuple, live: int):
+    """(kernel, movers, firsts) for the live set `live`, a bit mask of
+    agent ids that is not 0: movers are its agents in turn order,
+    kernel is _turns(len(movers)), and firsts[tp] is the number of
+    movers before turn position tp."""
+    movers = tuple(a for a in order if live >> a & 1)
+    firsts = tuple(sum(live >> a & 1 for a in order[:tp]) for tp in range(len(order)))
+    return _turns(len(movers)), movers, firsts
 
 
 @dataclass(frozen=True)
@@ -291,28 +328,35 @@ class SearchRoot(SearchNode):
     """Root of a plan tree and its search session.
 
     Holds the context of the whole tree (planning agent, value
-    parameters, turn order, the root state's clock t0 and the horizon
-    t_final), the leaf distance term's lookup data (_goal_tables' three
-    tables), the playout's step tables (_step_tables, shared by every
-    root over the goal set) and the flat-indexed scratch board every
-    search step runs on:
+    parameters, turn order, and levels, the tail of _levels' table from
+    the root state's clock on, so levels[depth] holds the turn position,
+    turns left and depth bonus of the level `depth` below the root), the
+    leaf distance term's lookup data (_goal_tables' three tables), the
+    playout's step tables (_step_tables, shared by every root over the
+    goal set) and the flat-indexed scratch board every search step runs
+    on:
     pos, the agent cells; goal_at and cap_at, a 0/1 flag per goal cell
-    and per locked goal cell; and the captured count. All three are
-    lists of ints. cap_at has one entry past the last cell, always 1:
-    the sentinel, which the playout's step tables map r >= 60 to and
-    code as a goal, locked so that the redraw loop rejects it.
+    and per locked goal cell; the captured count; and live, the live set:
+    a bit mask with bit a set while agent a is not captured. The first
+    three are lists of ints. cap_at has one entry past the last cell,
+    always 1: the sentinel, which the playout's step tables map r >= 60
+    to and code as a goal, locked so that the redraw loop rejects it.
     As in grid.WorldState, an agent is captured exactly when its cell is
-    a goal, so the board keeps no per-agent flag.
+    a goal; live records the same fact, so that a playout finds its
+    movers by one lookup in entries, which maps each live set met, on
+    first use, to _live_entry's (kernel, movers, firsts).
     Between steps the board equals its state built here. The snapshot
     holds what a step can change: the agent cells, the goal cells free
-    here, as a list, and the captured count; _reset() restores the board
-    from it in place, so the lists keep their identity, and goals locked
-    here stay locked.
+    here, as a list, the captured count and the live set; _reset()
+    restores the board from it in place, so the lists keep their
+    identity, and goals locked here stay locked. A playout leaves live
+    as the node it starts from has it, and the reset that follows it
+    restores the rest.
     """
 
-    __slots__ = ("planning_agent", "params", "order", "shaping",
-                 "t0", "t_final", "pos", "goal_at", "cap_at", "n_captured",
-                 "moves", "dests", "steps", "snapshot")
+    __slots__ = ("planning_agent", "params", "order", "shaping", "levels",
+                 "alpha_share", "pos", "goal_at", "cap_at", "n_captured",
+                 "live", "entries", "moves", "dests", "steps", "snapshot")
 
     def __init__(self, state: WorldState, planning_agent: int, params: ValueParams):
         super().__init__(None, None, None)
@@ -321,8 +365,9 @@ class SearchRoot(SearchNode):
         self.order = (planning_agent,) + tuple(
             a for a in range(state.n_agents) if a != planning_agent
         )
-        self.t0 = state.t
-        self.t_final = params.t_final
+        n_agents = state.n_agents
+        self.levels = _levels(n_agents, params.t_final)[state.t * n_agents:]
+        self.alpha_share = params.alpha / n_agents
         n = state.n
         # (weight, near, first_d, first_g, cap): cap is the distance at
         # which the term saturates
@@ -337,17 +382,20 @@ class SearchRoot(SearchNode):
         for cell in self.pos:
             self.cap_at[cell] = self.goal_at[cell]
         self.n_captured = sum(state.captured)
+        self.live = sum(1 << a for a, done in enumerate(state.captured) if not done)
         self.moves, self.dests = cell_tables(n)[:2]
         self.steps = _step_tables(n, state.goals)
+        self.entries = {}
         free = [c for c in range(n * n) if self.goal_at[c] and not self.cap_at[c]]
-        self.snapshot = (self.pos[:], free, self.n_captured)
+        self.snapshot = (self.pos[:], free, self.n_captured, self.live)
 
     def _reset(self) -> None:
-        """Restore the board to its snapshot. A step only moves agents and
-        locks free goals, so the agent cells are copied back and only the
-        goals free at the root are unlocked; the rest of cap_at, like
-        goal_at, never changes."""
-        pos, free, self.n_captured = self.snapshot
+        """Restore the board to its snapshot. A step only moves agents,
+        locks free goals and takes captured agents out of the live set,
+        so the agent cells are copied back and only the goals free at the
+        root are unlocked; the rest of cap_at, like goal_at, never
+        changes."""
+        pos, free, self.n_captured, self.live = self.snapshot
         self.pos[:] = pos
         cap_at = self.cap_at
         for g in free:
@@ -359,9 +407,10 @@ class SearchRoot(SearchNode):
         one level per node plus the Stay-only levels counted on the root
         and on every node.
 
-        Mirrors grid.apply_move: landing on a free goal pins the agent and
-        locks the goal. A counted Stay-only level moves nobody. The
-        engine's only way from tree to board.
+        Mirrors grid.apply_move: landing on a free goal pins the agent,
+        locks the goal and takes the agent out of the live set. A counted
+        Stay-only level moves nobody. The engine's only way from tree to
+        board.
         """
         pos = self.pos
         goal_at = self.goal_at
@@ -373,6 +422,7 @@ class SearchRoot(SearchNode):
             if goal_at[q] and not cap_at[q]:
                 cap_at[q] = 1
                 n_cap += 1
+                self.live ^= 1 << nd.agent
             pos[nd.agent] = q
             depth += nd.stays
         self.n_captured = n_cap
@@ -389,14 +439,13 @@ class SearchRoot(SearchNode):
         gets one child per legal move of the acting agent, in canonical
         move order, and the first child is returned.
         """
-        order = self.order
-        turns, tp = divmod(depth, len(order))
+        tp, left, _ = self.levels[depth]
         # tp > 0 implies the horizon is not reached: a mid-turn level shares
         # its turn with the level above it, and only non-terminal levels
         # grow
-        if self.n_captured == len(order) or self.t0 + turns >= self.t_final:
+        if not self.live or left <= 0:
             return None
-        act = order[tp]
+        act = self.order[tp]
         p = self.pos[act]
         if self.goal_at[p]:
             leaf.stays += 1
@@ -433,28 +482,24 @@ class SearchRoot(SearchNode):
         stored as ~cell. Only those can be locked, so only a negative
         entry enters the redraw loop, which redraws while the destination
         is locked (see the module docstring) and captures if it ends on a
-        goal. Every step runs in one call of the kernel _turns(m), with
-        the m agents live at the node in turn order, which returns its
-        capture count: it plays the rest of the node's turn, from the
-        node's turn position, then every whole turn left, and stops after
-        the turn that captures the last of them.
+        goal. Every step runs in one call of the kernel that the root's
+        entries hold for the live set, with its movers, the agents live at
+        the node in turn order, and returns its capture count: it plays the
+        rest of the node's turn, from the node's turn position, then every
+        whole turn left, and stops after the turn that captures the last
+        of them. The turn position, the turns left and the depth bonus are
+        read from the root's levels; nothing about the set-up is
+        recomputed per playout.
         """
-        params = self.params
-        t_final = self.t_final
-        order = self.order
-        n_agents = len(order)
+        tp, left, bonus = self.levels[depth]
+        n_agents = len(self.order)
         pos = self.pos
         goal_at = self.goal_at
         cap_at = self.cap_at
-        steps = self.steps
         shaping = self.shaping
         n_cap = self.n_captured
-
-        t, tp = divmod(depth, n_agents)
-        t += self.t0
-        node_time = t if tp == 0 else t + 1
-        live = n_agents - n_cap
-        if shaping is not None and live:
+        n_live = n_agents - n_cap
+        if shaping is not None and n_live:
             w, near, first_d, first_g, cap = shaping
             dist_sum = 0
             for p in pos:
@@ -472,31 +517,23 @@ class SearchRoot(SearchNode):
                         break
                 dist_sum += d
 
-        if n_cap < n_agents and t < t_final:
-            # plain loops, not comprehensions: before CPython 3.12 a
-            # comprehension reading pos or goal_at would make both closure
-            # cells, and every read of them slower. The movers are listed in
-            # turn order; the first turn skips those before the node's turn
-            # position
-            movers = []
-            for a in order[:tp]:
-                if not goal_at[pos[a]]:
-                    movers.append(a)
-            first = len(movers)
-            for a in order[tp:]:
-                if not goal_at[pos[a]]:
-                    movers.append(a)
-            n_cap += _turns(len(movers))(pos, steps, cap_at, rand, t_final - t, first, *movers)
+        live = self.live
+        if live and left > 0:
+            try:
+                kernel, movers, firsts = self.entries[live]
+            except KeyError:
+                kernel, movers, firsts = self.entries[live] = _live_entry(self.order, live)
+            n_cap += kernel(pos, self.steps, cap_at, rand, left, firsts[tp], movers)
 
         # same operation order as value_mod + depth_adjusted, so results are
         # bit-identical to the public value pipeline
         val = n_cap / n_agents
         if goal_at[pos[self.planning_agent]]:
-            val -= params.alpha / n_agents
-        val += (1.0 - node_time / t_final) / n_agents
-        if shaping is not None and live:
+            val -= self.alpha_share
+        val += bonus
+        if shaping is not None and n_live:
             # same operation order as values.distance_adjusted
-            val -= w * dist_sum / (live * cap) / n_agents
+            val -= w * dist_sum / (n_live * cap) / n_agents
         return val
 
     def run(self, budget: SearchBudget, rng: Random) -> None:
@@ -569,6 +606,8 @@ def make_root(state: WorldState, planning_agent: int, params: ValueParams) -> Se
         raise ValueError(
             f"params built for {params.n_agents} agents, state has {state.n_agents}"
         )
+    if state.t > params.t_final:
+        raise ValueError(f"state clock {state.t} is past the horizon {params.t_final}")
     return SearchRoot(state, planning_agent, params)
 
 

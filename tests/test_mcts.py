@@ -29,6 +29,8 @@ from gridmcts.mcts import (
     SearchNode,
     SearchRoot,
     _goal_tables,
+    _levels,
+    _live_entry,
     _turns,
     _turns_source,
     backpropagate,
@@ -174,6 +176,11 @@ def test_root_validation():
         make_root(s, 1, params_for(s, 15))
     with pytest.raises(ValueError):
         make_root(s, 0, ValueParams(0.5, UpdateRule.MEAN, 2, 15))
+    # a root reads its levels from the horizon's table, which ends at the
+    # horizon: a clock past it has none
+    make_root(mk(5, [(0, 0)], [(4, 4)], t=15), 0, params_for(s, 15))
+    with pytest.raises(ValueError, match="past the horizon"):
+        make_root(mk(5, [(0, 0)], [(4, 4)], t=16), 0, params_for(s, 15))
 
 
 def test_root_board_locks_exactly_the_captured_goals():
@@ -192,6 +199,7 @@ def test_root_board_locks_exactly_the_captured_goals():
             locked = {Position(*divmod(c, n)) for c in range(n * n) if root.cap_at[c]}
             assert locked == s.captured_cells()
             assert root.n_captured == sum(s.captured)
+            assert root.live == sum(1 << a for a in range(na) if not s.captured[a])
             s = merge_states(s, [meta.choice(legal_moves(s, a)) for a in range(na)])
 
 
@@ -584,6 +592,113 @@ def test_importing_the_engine_generates_no_kernel():
     assert _turns(3) is _turns(3)
 
 
+def test_importing_the_engine_builds_no_level_table():
+    import gridmcts.mcts as M
+
+    probe = "import gridmcts.mcts as M; print(M._levels.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+    assert _levels(3, 9) is _levels(3, 9)
+
+
+def test_the_turn_kernel_takes_its_movers_as_one_tuple():
+    # a call passes the root's movers tuple as it is, with no *movers
+    # unpacking at the call site, and the kernel unpacks it into locals
+    want = ("pos", "steps", "cap_at", "rand", "n_turns", "first", "movers")
+    for m in (1, 2, 7):
+        code = _turns(m).__code__
+        assert code.co_varnames[:code.co_argcount] == want, m
+
+
+def _walk_down(root, walk):
+    """The path down from `root` that takes child pick % len(children) at
+    each pick of `walk`, expanding a leaf on the way; a Stay-only level
+    counted on the leaf uses up its pick, and a terminal leaf ends it."""
+    path = [root]
+    for pick in walk:
+        if path[-1].children is None:
+            try:
+                if expand(path) is path[-1]:
+                    continue
+            except ValueError:
+                break
+        kids = path[-1].children
+        path.append(kids[pick % len(kids)])
+    return path
+
+
+def _movers_by_loops(order, pos, goal_at, tp):
+    """The playout's movers and first-turn index as the engine built them
+    per playout before the live set: two loops over the agents."""
+    movers = []
+    for a in order[:tp]:
+        if not goal_at[pos[a]]:
+            movers.append(a)
+    first = len(movers)
+    for a in order[tp:]:
+        if not goal_at[pos[a]]:
+            movers.append(a)
+    return tuple(movers), first
+
+
+@st.composite
+def _live_set_cases(draw):
+    """A 2x2-6x6 board with 1-6 agents, any subset of them, all included,
+    on goals at the root, and a walk down the tree, so more agents are
+    captured on the way by _realize."""
+    n = draw(st.integers(2, 6))
+    na = draw(st.integers(1, min(6, n * n // 2)))
+    cells = draw(st.permutations([Position(r, c) for r in range(n) for c in range(n)]))
+    captured = draw(st.sets(st.integers(0, na - 1)))
+    starts = [cells[a] if a in captured else cells[na + a] for a in range(na)]
+    s = WorldState(n, 0, tuple(starts), frozenset(cells[:na]))
+    walk = draw(st.lists(st.integers(0, 4), max_size=3 * na + 3))
+    return s, draw(st.integers(0, na - 1)), walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(_live_set_cases())
+def test_each_live_set_entry_equals_the_movers_two_loops_build(case):
+    s, planner, walk = case
+    root = make_root(s, planner, params_for(s, 3 * s.n))
+    path = _walk_down(root, walk)
+    root._realize(path[1:])
+    live = root.live
+    assert live == sum(1 << a for a in range(s.n_agents) if not root.goal_at[root.pos[a]])
+    if live:
+        kernel, movers, firsts = _live_entry(root.order, live)
+        assert kernel is _turns(len(movers))
+        assert len(firsts) == s.n_agents
+        for tp in range(s.n_agents):
+            assert (movers, firsts[tp]) == _movers_by_loops(root.order, root.pos,
+                                                            root.goal_at, tp)
+    root._reset()
+    assert root.live == root.snapshot[3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 60), st.data())
+def test_every_level_equals_the_divmod_expression(n_agents, t_final, data):
+    # the constants a playout read per level before the table, computed
+    # from the depth below a root at clock t0; the bonus must be the same
+    # float bit for bit
+    table = _levels(n_agents, t_final)
+    assert len(table) == (t_final + 1) * n_agents
+    t0 = data.draw(st.integers(0, t_final))
+    s = WorldState(max(2, n_agents), t0, tuple(Position(0, a) for a in range(n_agents)),
+                   frozenset(Position(1, a) for a in range(n_agents)))
+    root = make_root(s, 0, ValueParams(0.5, UpdateRule.MEAN, n_agents, t_final))
+    assert root.levels == table[t0 * n_agents:]
+    for depth, (tp, left, bonus) in enumerate(root.levels):
+        t, want_tp = divmod(depth, n_agents)
+        t += t0
+        node_time = t if want_tp == 0 else t + 1
+        assert (tp, left) == (want_tp, t_final - t)
+        assert bonus.hex() == ((1.0 - node_time / t_final) / n_agents).hex()
+
+
 # ----------------------------------------------------------------- rollout
 
 
@@ -741,11 +856,16 @@ def test_root_board_is_plain_lists_of_ints():
     locked = root.cap_at[:]
     assert [c for c in range(5 * 5 + 1) if locked[c]] == [2 * 5 + 2, 5 * 5]
     assert root.snapshot[:2] == ([0, 12, 21], [3, 24])
-    root.run(SearchBudget(50, 15), Random(1))
+    # the live set, agents 0 and 2, is a bit mask the snapshot keeps too
+    assert root.live == root.snapshot[3] == 0b101
+    root.run(SearchBudget(400, 15), Random(1))
     assert (root.pos, root.goal_at, root.cap_at) == boards
     assert all(now is then for now, then in zip((root.pos, root.goal_at, root.cap_at), boards))
     assert root.goal_at == built
     assert root.cap_at == locked
+    assert root.live == 0b101
+    # the search met live sets below captures made in the tree
+    assert set(root.entries) > {0b101}
     for board in (root.pos, root.goal_at, root.cap_at, *root.snapshot[:2]):
         assert type(board) is list
         assert {type(v) for v in board} == {int}
@@ -1474,16 +1594,7 @@ def test_rollout_through_the_turn_kernel_matches_the_twin(case):
     s, p, planner, walk, seed = case
     n = s.n
     root = make_root(s, planner, p)
-    path = [root]
-    for pick in walk:
-        if path[-1].children is None:
-            try:
-                if expand(path) is path[-1]:
-                    continue
-            except ValueError:
-                break
-        kids = path[-1].children
-        path.append(kids[pick % len(kids)])
+    path = _walk_down(root, walk)
     tree = RefTree(s, planner, p)
     ref_node = ref_node_at(tree, path)
     got_rng, want_rng = Random(seed), Random(seed)
@@ -1614,6 +1725,7 @@ def _realize_without_lock(self, nodes):
     for nd in nodes:
         if self.goal_at[nd.dest] and not self.cap_at[nd.dest]:
             self.n_captured += 1
+            self.live ^= 1 << nd.agent
         self.pos[nd.agent] = nd.dest
     return self.stays + sum(1 + nd.stays for nd in nodes)
 
@@ -1621,14 +1733,26 @@ def _realize_without_lock(self, nodes):
 def _realize_without_count(self, nodes):
     # a captured goal is locked but the capture is never counted
     for nd in nodes:
-        if self.goal_at[nd.dest]:
+        if self.goal_at[nd.dest] and not self.cap_at[nd.dest]:
             self.cap_at[nd.dest] = 1
+            self.live ^= 1 << nd.agent
+        self.pos[nd.agent] = nd.dest
+    return self.stays + sum(1 + nd.stays for nd in nodes)
+
+
+def _realize_keeping_capturers_live(self, nodes):
+    # a capture is locked and counted, but the agent stays in the live
+    # set, so every playout below it draws for it from its goal
+    for nd in nodes:
+        if self.goal_at[nd.dest] and not self.cap_at[nd.dest]:
+            self.cap_at[nd.dest] = 1
+            self.n_captured += 1
         self.pos[nd.agent] = nd.dest
     return self.stays + sum(1 + nd.stays for nd in nodes)
 
 
 def _reset_all_but_the_last_cell(self):
-    pos, free, self.n_captured = self.snapshot
+    pos, free, self.n_captured, self.live = self.snapshot
     self.pos[:-1] = pos[:-1]
     for g in free:
         self.cap_at[g] = 0
@@ -1636,9 +1760,17 @@ def _reset_all_but_the_last_cell(self):
 
 def _reset_all_but_one_free_goal(self):
     # the first goal free at the root stays locked once a step takes it
-    pos, free, self.n_captured = self.snapshot
+    pos, free, self.n_captured, self.live = self.snapshot
     self.pos[:] = pos
     for g in free[1:]:
+        self.cap_at[g] = 0
+
+
+def _reset_all_but_the_live_set(self):
+    # the live set stays as the last iteration's path left it
+    pos, free, self.n_captured, _ = self.snapshot
+    self.pos[:] = pos
+    for g in free:
         self.cap_at[g] = 0
 
 
@@ -1731,8 +1863,10 @@ _ALL = ("captured", "shaped", "crowded")
 _BOARD_FAULTS = {
     "realize-no-lock": (SearchRoot, "_realize", _realize_without_lock, _ALL),
     "realize-no-count": (SearchRoot, "_realize", _realize_without_count, _ALL),
+    "realize-capturer-live": (SearchRoot, "_realize", _realize_keeping_capturers_live, _ALL),
     "reset-last-cell": (SearchRoot, "_reset", _reset_all_but_the_last_cell, _ALL),
     "reset-one-goal-locked": (SearchRoot, "_reset", _reset_all_but_one_free_goal, _ALL),
+    "reset-live-set": (SearchRoot, "_reset", _reset_all_but_the_live_set, _ALL),
     "reuse-every-leaf": (SearchRoot, "run", _run_reusing_every_leafs_first_sample,
                          ("captured", "crowded")),
     "select-raw-visits": (None, "select", _select_with_raw_visits, ("crowded",)),
